@@ -58,7 +58,7 @@ explore: ## DPOR-lite schedule exploration under a bounded schedule budget
 timetravel: ## snapshot a run mid-flight, restore by replay, verify byte identity
 	$(GO) run ./cmd/shootdownsim timetravel
 
-hostcost: ## host-cost attribution: per-site allocation table + validation (DESIGN.md §17)
+hostcost: ## host-cost attribution: heap-profile allocation table per function + validation (DESIGN.md §17)
 	$(GO) run ./cmd/shootdownsim -hostcost /tmp/shootdown-hostcost.json hostcost >/dev/null
 	$(GO) run ./cmd/tlbtrace hostcost -validate /tmp/shootdown-hostcost.json
 

@@ -11,11 +11,13 @@
 //     source; every RNG must be a *rand.Rand built from a seed that is
 //     part of the experiment configuration (rand.New(rand.NewSource(s))).
 //   - os.Getenv / os.LookupEnv make results depend on the host.
-//   - runtime.ReadMemStats and the runtime/pprof entry points observe the
-//     host heap and label OS threads; host-cost sampling belongs to
-//     internal/hostprof's Sampler, which only package main may construct
-//     (hostprof.NewSampler) and inject. The nil-safe hostprof.Counters
-//     increments are plain arithmetic and remain allowed.
+//   - runtime.ReadMemStats, runtime.MemProfile, runtime.GC and the
+//     runtime/pprof entry points observe or disturb the host heap and
+//     label OS threads; host-cost attribution belongs to internal/hostprof's
+//     Sampler, which reads the heap profile around a phase and which only
+//     package main may construct (hostprof.NewSampler) and inject.
+//     Simulated code never calls into hostprof: its methods on an injected
+//     Sampler are the one allowed contact.
 //   - A `range` over a map whose body calls anything with observable
 //     effects (trace records, metric emission, rendered output, test
 //     assertions) publishes Go's randomized iteration order. Pure
@@ -59,6 +61,8 @@ var forbiddenFuncs = map[string]map[string]string{
 	},
 	"runtime": {
 		"ReadMemStats": "observes the host heap; host-cost sampling lives in hostprof.Sampler, injected from package main",
+		"MemProfile":   "reads the host heap profile; allocation attribution lives in hostprof.Sampler, injected from package main",
+		"GC":           "forces a host garbage collection; hostprof.Sampler owns the collections around a measured phase, from package main",
 	},
 	"runtime/pprof": {
 		"Do":                 "labels host profiling phases; use an injected hostprof.Sampler from package main",
@@ -106,11 +110,10 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		return
 	}
-	// The hostprof package splits in two: nil-safe Counters (methods, so
-	// never reach this point) are deterministic and welcome anywhere, but
-	// the Sampler constructor pulls in wall-clock and heap observation and
-	// may only run in package main. Matched by path suffix so the fixture
-	// module's mirror package is caught too.
+	// The hostprof Sampler constructor pulls in wall-clock and heap
+	// observation and may only run in package main; methods on an
+	// injected Sampler never reach this point. Matched by path suffix so
+	// the fixture module's mirror package is caught too.
 	if name == "NewSampler" && (pkg == "hostprof" || strings.HasSuffix(pkg, "/hostprof")) {
 		pass.Reportf(call.Pos(),
 			"call to %s.NewSampler in simulated code: samplers read the wall clock and host heap; construct one in package main and inject it",

@@ -45,6 +45,16 @@ func hostHeap() uint64 {
 	return ms.HeapAlloc
 }
 
+func hostHeapProfile() int {
+	runtime.GC()                          // want `call to runtime\.GC in simulated code`
+	n, _ := runtime.MemProfile(nil, true) // want `call to runtime\.MemProfile in simulated code`
+	return n
+}
+
+func keepAliveIsFine(v *int) {
+	runtime.KeepAlive(v) // ok: observes nothing about the host heap
+}
+
 func hostPhaseLabels(ctx context.Context) {
 	labels := pprof.Labels("phase", "fig2")         // ok: building a label set reads nothing
 	pprof.Do(ctx, labels, func(context.Context) {}) // want `call to runtime/pprof\.Do in simulated code`
@@ -56,10 +66,8 @@ func hostSamplerInSim() *hostprof.Sampler {
 	return hostprof.NewSampler() // want `call to lint\.test/hostprof\.NewSampler in simulated code`
 }
 
-func hostCountersAreFine(c *hostprof.Counters) {
-	c.Add(0, 1, 64) // ok: nil-safe counter increment, plain arithmetic
-	var s hostprof.Sampler
-	s.Phase("fig2", c, func() {}) // ok: method on an injected sampler
+func injectedSamplerIsFine(s *hostprof.Sampler) error {
+	return s.Phase("fig2", func() error { return nil }) // ok: method on an injected sampler
 }
 
 func mapOrderLeak(m map[string]int) {

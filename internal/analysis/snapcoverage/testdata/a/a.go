@@ -63,18 +63,6 @@ type Malformed struct {
 
 func (m *Malformed) Snapshot() Snap { return Snap{V: m.v} }
 
-// HostCounted mirrors the machine's host-cost wiring: a counters pointer
-// is host-side accounting the session reattaches, never serialized, so
-// the transient annotation covers it with no diagnostic.
-type HostCounted struct {
-	v  int
-	hc *hostCounters //snap:transient host-cost accounting, reattached by the session; never serialized
-}
-
-type hostCounters struct{ ops, bytes int64 }
-
-func (h *HostCounted) Snapshot() Snap { return Snap{V: h.v} }
-
 // NoSnap has no Snapshot method, so the annotation is dead weight.
 type NoSnap struct {
 	//snap:derived there is nothing to derive from

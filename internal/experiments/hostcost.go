@@ -9,7 +9,8 @@ import (
 
 // HostCostOptions configures the host-cost experiment.
 type HostCostOptions struct {
-	// Sampler measures real wall time and allocator statistics per phase.
+	// Sampler measures real wall time, allocator statistics and heap
+	// profile attribution per phase.
 	// It must be constructed by host-side code (package main calls
 	// hostprof.NewSampler) and injected here: the simdeterminism analyzer
 	// bans the constructor — and every other real-clock entry point —
@@ -36,19 +37,19 @@ func (r HostCostResult) Render() string { return r.Report.Render(10) }
 const snapPhasePauseStep = 1000
 
 // HostCost attributes the simulator's real heap and wall spend to its
-// subsystems. It runs three phases, each with fresh counters so a phase's
-// counted bytes compare against its own allocator delta:
+// functions, from the runtime's heap profile. It runs three phases, each
+// attributed against its own allocator delta:
 //
 //	fig2     — experiments.Fig2(seed, Runs): the headline phase. With the
 //	           default Runs it is byte-for-byte the body of
-//	           BenchmarkFig2BasicCost, so coverage (counted exact bytes /
+//	           BenchmarkFig2BasicCost, so coverage (attributed bytes /
 //	           measured bytes) is checked against the benchmark's B/op.
 //	table1   — experiments.Table1(seed): the lazy-evaluation workloads.
 //	snapshot — a paused churn world plus one whole-simulation snapshot,
 //	           the unit the shrinker and explorer amortize.
 //
-// The returned report names the top allocation sites — where a 10× host
-// speed overhaul must aim first.
+// The returned report names the top allocating functions — where a 10×
+// host speed overhaul must aim first.
 func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResult, error) {
 	var out HostCostResult
 	if opts.Sampler == nil {
@@ -60,31 +61,20 @@ func HostCost(seed int64, opts HostCostOptions, ins ...Instrument) (HostCostResu
 	}
 	in := pick(ins)
 
-	phase := func(name string, fn func(*hostprof.Counters) error) error {
-		c := &hostprof.Counters{}
-		return opts.Sampler.Phase(name, c, func() error { return fn(c) })
-	}
-
-	if err := phase("fig2", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		_, err := Fig2(seed, runs, pin)
+	if err := opts.Sampler.Phase("fig2", func() error {
+		_, err := Fig2(seed, runs, in)
 		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: fig2 phase: %w", err)
 	}
-	if err := phase("table1", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		_, err := Table1(seed, pin)
+	if err := opts.Sampler.Phase("table1", func() error {
+		_, err := Table1(seed, in)
 		return err
 	}); err != nil {
 		return out, fmt.Errorf("hostcost: table1 phase: %w", err)
 	}
-	if err := phase("snapshot", func(c *hostprof.Counters) error {
-		pin := in
-		pin.HostCost = c
-		k, err := workload.StartChurn(pin.app(workload.AppConfig{
+	if err := opts.Sampler.Phase("snapshot", func() error {
+		k, err := workload.StartChurn(in.app(workload.AppConfig{
 			NCPUs: 4, Seed: seed, Scale: 0.5, Oracle: true,
 		}))
 		if err != nil {

@@ -1,210 +1,169 @@
 // Package hostprof is the host-cost observability layer: it attributes
 // the simulator's *real* resource spend — heap bytes and wall time on the
-// machine running the simulation — to simulator subsystems, without
-// perturbing the simulation itself.
+// machine running the simulation — to the simulator functions that spend
+// it, without touching the simulation itself.
 //
 // Every other instrument in this repo (tracer, virtual-time profiler,
-// flight recorder) observes the simulated machine; hostprof turns the
-// instruments on the simulator. It has two halves with very different
-// rules:
+// flight recorder) observes the simulated machine; hostprof turns the Go
+// runtime's own instruments on the simulator, the way the paper split a
+// shootdown's cost with the machine's xpr event recorder rather than
+// with guesses. A Sampler phase (sampler.go) brackets a workload with
+// runtime.GC and runtime.MemProfile, diffs the cumulative allocation
+// records, scales each record by the runtime's sampling rate exactly as
+// pprof does, and charges it to the innermost frame that belongs to one
+// of the simulator's own packages (shootdown/internal/...).
 //
-//   - Counters are deterministic-safe allocation/op tallies: plain
-//     per-site integers bumped at the known hot allocation sites inside
-//     the simulated packages (sim, machine, mem, core, trace, snap,
-//     kernel). Incrementing an integer reads no clock, draws no
-//     randomness, and charges no virtual time, so counted runs are
-//     byte-identical to uncounted ones. Counter fields living inside
-//     snapshot-bearing types are //snap:transient — they never appear on
-//     the snapshot wire and never feed a digest.
-//
-//   - The Sampler (sampler.go) reads the real clock, runtime.ReadMemStats,
-//     and runtime/pprof. Those calls are banned inside the simulated
-//     packages by the simdeterminism analyzer — including the Sampler's
-//     own entry points — so a Sampler can only be constructed by host-side
-//     code (package main) and injected, the same pattern as the shrink
-//     campaign's wall-clock injection.
-//
-// Sites carry either exact byte accounting (the allocation size is a
-// structural fact, e.g. an xpr ring is capacity × record size) or a
-// documented estimate (compiler-dependent costs like vararg boxing).
-// Coverage — the headline "how much of the measured spend do we explain" —
-// is computed from exact sites only, so an optimistic estimate can never
-// inflate it.
+// No simulated package calls into hostprof: the attribution comes from
+// the runtime's heap profile, so there is nothing to thread through
+// kernel builds and nothing to keep out of snapshots. The Sampler reads
+// the real clock, runtime.ReadMemStats, runtime.MemProfile and
+// runtime/pprof; those calls are banned inside the simulated packages by
+// the simdeterminism analyzer — including the Sampler's constructor — so
+// a Sampler can only be built by host-side code (package main) and
+// injected, the same pattern as the shrink campaign's wall-clock
+// injection.
 package hostprof
 
-// Site identifies one known hot allocation site in the simulator. The
-// list is ordered by package; adding a site means adding its SiteInfo
-// below (the array length is compile-time checked).
-type Site uint8
-
-// The known hot allocation sites.
-const (
-	// SiteXPRRing: kernel.New pre-allocates the xpr trace ring
-	// (TraceSize × record size) — the dominant allocation of every
-	// kernel build.
-	SiteXPRRing Site = iota
-	// SiteTraceRing: a session tracer / flight-recorder ring footprint,
-	// tallied when a kernel attaches it.
-	SiteTraceRing
-	// SiteTraceExport: trace ring copies made by Events() exports.
-	SiteTraceExport
-	// SiteMemBuild: mem.New frame-table and free-list construction.
-	SiteMemBuild
-	// SiteMemPages: lazily allocated 4 KB page-frame backing stores.
-	SiteMemPages
-	// SiteMachineBuild: machine.New per-CPU/TLB/device construction.
-	SiteMachineBuild
-	// SiteSimSpawn: sim.Engine.Spawn proc + channel + goroutine.
-	SiteSimSpawn
-	// SiteSimDispatch: per-step scheduler dispatch overhead (vararg
-	// boxing on the debug-trace call, resume handshake).
-	SiteSimDispatch
-	// SiteSimTieBreak: chaos tie-break candidate slices and sort state.
-	SiteSimTieBreak
-	// SiteCoreSync: shootdown initiator wait/send lists per Sync.
-	SiteCoreSync
-	// SiteSnapLayer: snapshot layer marshaling (bytes = wire size).
-	SiteSnapLayer
-	// NumSites bounds the enum; it is not a site.
-	NumSites
+import (
+	"math"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// SiteInfo is the static metadata of one site.
-type SiteInfo struct {
-	// Name is the stable identifier used in artifacts ("xpr-ring").
-	Name string
-	// Pkg is the owning package ("internal/kernel").
-	Pkg string
-	// Desc is a one-line description for rendered tables.
-	Desc string
-	// Exact reports whether the byte tally is structurally exact (counts
-	// toward coverage) or a documented estimate (reported, not covered).
-	Exact bool
+// attributedPrefix selects the frames an allocation may be charged to:
+// functions in the simulator's internal packages. modulePrefix is trimmed
+// from the artifact's site and package names ("internal/xpr.New").
+const (
+	modulePrefix     = "shootdown/"
+	attributedPrefix = modulePrefix + "internal/"
+)
+
+// bucketKey identifies one heap-profile bucket. The runtime keys buckets
+// by stack and object size, so two records may share a stack; the size
+// (AllocBytes / AllocObjects, exact within a bucket) tells them apart.
+type bucketKey struct {
+	stack [32]uintptr
+	size  int64
 }
 
-// siteInfos is indexed by Site; the array length pins completeness.
-var siteInfos = [NumSites]SiteInfo{
-	SiteXPRRing:      {"xpr-ring", "internal/kernel", "xpr trace ring pre-allocation (TraceSize × 56 B records)", true},
-	SiteTraceRing:    {"trace-ring", "internal/trace", "session tracer / flight ring footprint at kernel attach", false},
-	SiteTraceExport:  {"trace-export", "internal/trace", "trace ring copies made by Events() exports", true},
-	SiteMemBuild:     {"mem-build", "internal/mem", "physical-memory frame table + free list construction", false},
-	SiteMemPages:     {"mem-pages", "internal/mem", "lazily allocated 4 KB page-frame backing stores", true},
-	SiteMachineBuild: {"machine-build", "internal/machine", "per-CPU exec/TLB/device construction", false},
-	SiteSimSpawn:     {"sim-spawn", "internal/sim", "proc struct + resume channel per Spawn (goroutine stack excluded)", false},
-	SiteSimDispatch:  {"sim-dispatch", "internal/sim", "per-step scheduler dispatch (vararg boxing on the debug trace)", false},
-	SiteSimTieBreak:  {"sim-tiebreak", "internal/sim", "chaos tie-break candidate slice + sort per contested pop", false},
-	SiteCoreSync:     {"core-sync", "internal/core", "initiator wait/send/device-waiter lists per shootdown Sync", false},
-	SiteSnapLayer:    {"snap-layer", "internal/snap", "snapshot layer marshal (bytes = wire size)", true},
-}
-
-// Info returns the site's static metadata.
-func (s Site) Info() SiteInfo {
-	if s >= NumSites {
-		return SiteInfo{Name: "unknown", Pkg: "?", Desc: "out-of-range site"}
+func keyOf(r *runtime.MemProfileRecord) (bucketKey, bool) {
+	if r.AllocObjects <= 0 {
+		return bucketKey{}, false
 	}
-	return siteInfos[s]
+	return bucketKey{r.Stack0, r.AllocBytes / r.AllocObjects}, true
 }
 
-// String returns the site's stable artifact name.
-func (s Site) String() string { return s.Info().Name }
-
-// Counters is one run's per-site allocation/op tally. The zero value is
-// ready to use; a nil *Counters is the valid "counting disabled" value —
-// every method is a no-op on it, so instrumented code needs no nil checks.
-//
-// Counters are per-instance (threaded through a kernel build like the
-// tracer), never package globals: parallel tests each own their counters,
-// so the race detector stays quiet and counts never bleed across runs.
-type Counters struct {
-	counts [NumSites]int64
-	bytes  [NumSites]int64
-}
-
-// Add tallies n operations and b bytes against site s. It is the only
-// call simulated packages make into hostprof: integer arithmetic, no
-// clock, no randomness, no virtual time.
-func (c *Counters) Add(s Site, n, b int64) {
-	if c == nil || s >= NumSites {
-		return
-	}
-	c.counts[s] += n
-	c.bytes[s] += b
-}
-
-// Site returns the tally recorded against s.
-func (c *Counters) Site(s Site) (n, b int64) {
-	if c == nil || s >= NumSites {
-		return 0, 0
-	}
-	return c.counts[s], c.bytes[s]
-}
-
-// CountedBytes returns the byte total over exact sites only — the
-// coverage numerator. Estimated sites are excluded so an optimistic
-// estimate can never inflate coverage.
-func (c *Counters) CountedBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for s := Site(0); s < NumSites; s++ {
-		if siteInfos[s].Exact {
-			total += c.bytes[s]
+// attribute diffs two cumulative heap-profile snapshots and groups the
+// scaled allocation deltas by the innermost simulator function on each
+// stack. Allocations with no simulator frame in the recorded stack are
+// left unattributed. Rows are ordered by bytes descending.
+func attribute(before, after []runtime.MemProfileRecord, rate int) []SiteCost {
+	prev := make(map[bucketKey]*runtime.MemProfileRecord, len(before))
+	for i := range before {
+		if k, ok := keyOf(&before[i]); ok {
+			prev[k] = &before[i]
 		}
 	}
-	return total
-}
-
-// TotalOps returns the operation total over all sites.
-func (c *Counters) TotalOps() int64 {
-	if c == nil {
-		return 0
+	type group struct {
+		pkg           string
+		objects, size float64
+		lines         map[string]float64 // file:line -> bytes, for Desc
 	}
-	var total int64
-	for s := Site(0); s < NumSites; s++ {
-		total += c.counts[s]
-	}
-	return total
-}
-
-// Reset zeroes every tally.
-func (c *Counters) Reset() {
-	if c == nil {
-		return
-	}
-	c.counts = [NumSites]int64{}
-	c.bytes = [NumSites]int64{}
-}
-
-// Export renders the non-zero sites as artifact rows, ordered by bytes
-// descending (count, then site order, break ties) — deterministic given
-// deterministic counts.
-func (c *Counters) Export() []SiteCost {
-	if c == nil {
-		return nil
-	}
-	var out []SiteCost
-	for s := Site(0); s < NumSites; s++ {
-		if c.counts[s] == 0 && c.bytes[s] == 0 {
+	groups := map[string]*group{}
+	for i := range after {
+		r := &after[i]
+		k, ok := keyOf(r)
+		if !ok {
 			continue
 		}
-		info := siteInfos[s]
+		objects, bytes := r.AllocObjects, r.AllocBytes
+		if p := prev[k]; p != nil {
+			objects -= p.AllocObjects
+			bytes -= p.AllocBytes
+		}
+		if objects <= 0 || bytes <= 0 {
+			continue
+		}
+		f, ok := attributedFrame(r.Stack())
+		if !ok {
+			continue
+		}
+		site := strings.TrimPrefix(f.Function, modulePrefix)
+		g := groups[site]
+		if g == nil {
+			g = &group{pkg: funcPackage(site), lines: map[string]float64{}}
+			groups[site] = g
+		}
+		so, sb := scaleSample(objects, bytes, rate)
+		g.objects += so
+		g.size += sb
+		g.lines[filepath.Base(f.File)+":"+strconv.Itoa(f.Line)] += sb
+	}
+	out := make([]SiteCost, 0, len(groups))
+	for site, g := range groups {
 		out = append(out, SiteCost{
-			Site:    info.Name,
-			Package: info.Pkg,
-			Desc:    info.Desc,
-			Count:   c.counts[s],
-			Bytes:   c.bytes[s],
-			Exact:   info.Exact,
+			Site:    site,
+			Package: g.pkg,
+			Desc:    heaviestLine(g.lines),
+			Count:   int64(math.Round(g.objects)),
+			Bytes:   int64(math.Round(g.size)),
+			Exact:   true,
 		})
 	}
-	// Insertion sort by (bytes desc, count desc, name): n ≤ NumSites.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && costLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	sort.Slice(out, func(i, j int) bool { return costLess(out[i], out[j]) })
+	return out
+}
+
+// scaleSample undoes the runtime's allocation sampling the way pprof
+// does: with one sample per rate bytes on average, an object of the
+// bucket's average size was recorded with probability 1-e^(-size/rate).
+func scaleSample(objects, bytes int64, rate int) (float64, float64) {
+	if rate <= 1 {
+		return float64(objects), float64(bytes)
+	}
+	avg := float64(bytes) / float64(objects)
+	scale := 1 / (1 - math.Exp(-avg/float64(rate)))
+	return float64(objects) * scale, float64(bytes) * scale
+}
+
+// attributedFrame returns the innermost frame of stack that belongs to a
+// simulator package.
+func attributedFrame(stack []uintptr) (runtime.Frame, bool) {
+	frames := runtime.CallersFrames(stack)
+	for {
+		f, more := frames.Next()
+		if strings.HasPrefix(f.Function, attributedPrefix) {
+			return f, true
+		}
+		if !more {
+			return runtime.Frame{}, false
 		}
 	}
-	return out
+}
+
+// funcPackage returns the package path of a qualified function name:
+// "internal/sim.(*Engine).run" -> "internal/sim".
+func funcPackage(fn string) string {
+	slash := strings.LastIndex(fn, "/")
+	if dot := strings.Index(fn[slash+1:], "."); dot >= 0 {
+		return fn[:slash+1+dot]
+	}
+	return fn
+}
+
+// heaviestLine returns the source line that allocated the most bytes,
+// breaking ties by name so the choice is stable.
+func heaviestLine(lines map[string]float64) string {
+	best, bestBytes := "", -1.0
+	for l, b := range lines {
+		if b > bestBytes || (b == bestBytes && l < best) {
+			best, bestBytes = l, b
+		}
+	}
+	return best
 }
 
 // costLess orders site rows: bytes descending, then count descending,

@@ -25,20 +25,26 @@ type Provenance struct {
 	Commit     string `json:"commit,omitempty"`
 }
 
-// SiteCost is one allocation site's tally within a phase.
+// SiteCost is one simulator function's share of a phase's allocations,
+// as the heap profile attributes them.
 type SiteCost struct {
+	// Site is the function ("internal/xpr.New"), Package its package
+	// path ("internal/xpr"), Desc the source line within it that
+	// allocated the most bytes ("xpr.go:81").
 	Site    string `json:"site"`
 	Package string `json:"package"`
 	Desc    string `json:"desc"`
-	Count   int64  `json:"count"`
-	Bytes   int64  `json:"bytes"`
-	// Exact marks structurally exact byte accounting; estimated sites
-	// report bytes but are excluded from coverage.
+	// Count is objects allocated, Bytes their size, both scaled up from
+	// the runtime's sampled heap profile.
+	Count int64 `json:"count"`
+	Bytes int64 `json:"bytes"`
+	// Exact marks a row that counts toward coverage. Every
+	// profile-derived row does.
 	Exact bool `json:"exact"`
 }
 
 // PhaseCost is one measured phase: real seconds and allocator deltas from
-// the host, counter tallies from the simulated packages.
+// the host, and the heap profile's per-function attribution.
 type PhaseCost struct {
 	Name        string  `json:"name"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -46,8 +52,8 @@ type PhaseCost struct {
 	// phase (TotalAlloc / Mallocs).
 	MeasuredBytes int64 `json:"measured_bytes"`
 	Mallocs       int64 `json:"mallocs"`
-	// CountedBytes is the exact-site byte tally; CountedOps the op total
-	// over all sites.
+	// CountedBytes is the byte total over exact sites — the coverage
+	// numerator; CountedOps the object total over all sites.
 	CountedBytes int64      `json:"counted_bytes"`
 	CountedOps   int64      `json:"counted_ops"`
 	Sites        []SiteCost `json:"sites,omitempty"`
@@ -83,9 +89,19 @@ func Load(path string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	r, err := Parse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
+
+// Parse decodes a host-cost/v1 artifact. It checks only that the bytes
+// are a JSON document of the right shape; Validate checks consistency.
+func Parse(raw []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("%s: not a host-cost report: %w", path, err)
+		return nil, fmt.Errorf("not a host-cost report: %w", err)
 	}
 	return &r, nil
 }
@@ -149,9 +165,15 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// CheckCoverage fails when the headline phase's exact-site coverage is
-// below min percent — the CI floor keeping the attribution honest as hot
-// paths move.
+// MaxCoveragePct is the coverage ceiling. Sampling noise can push a
+// profile-derived attribution a little past 100% of the measured bytes;
+// anything beyond this bound means the attribution overcounts — charging
+// allocations from outside the phase, or the same bytes twice.
+const MaxCoveragePct = 105
+
+// CheckCoverage fails when the headline phase's coverage is below min
+// percent — the CI floor keeping the attribution honest as hot paths move
+// — or above MaxCoveragePct.
 func (r *Report) CheckCoverage(min float64) error {
 	hp := r.HeadlinePhase()
 	if hp == nil {
@@ -164,11 +186,15 @@ func (r *Report) CheckCoverage(min float64) error {
 		return fmt.Errorf("attribution coverage %.1f%% below the %.0f%% floor (counted %d of %d measured bytes in %q)",
 			r.CoveragePct, min, hp.CountedBytes, hp.MeasuredBytes, r.Headline)
 	}
+	if r.CoveragePct > MaxCoveragePct {
+		return fmt.Errorf("attribution coverage %.1f%% above the %d%% ceiling (counted %d of %d measured bytes in %q)",
+			r.CoveragePct, MaxCoveragePct, hp.CountedBytes, hp.MeasuredBytes, r.Headline)
+	}
 	return nil
 }
 
 // Render formats the report for terminals: a provenance line, the
-// per-phase table, and the headline phase's top-N allocation sites.
+// per-phase table, and the headline phase's top-N allocating functions.
 func (r *Report) Render(topN int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s · %s · GOMAXPROCS=%d · %d CPUs", r.Format, r.GoVersion, r.GOMAXPROCS, r.NumCPU)
@@ -197,9 +223,9 @@ func (r *Report) Render(topN int) string {
 	if hp == nil || len(hp.Sites) == 0 {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "\ntop %d allocation sites (%s phase, of %d):\n", minInt(topN, len(hp.Sites)), hp.Name, len(hp.Sites))
-	fmt.Fprintf(&b, "  %-4s %-14s %-18s %12s %13s %7s %-5s\n",
-		"rank", "site", "package", "count", "bytes", "share", "kind")
+	fmt.Fprintf(&b, "\ntop %d allocating functions (%s phase, of %d):\n", minInt(topN, len(hp.Sites)), hp.Name, len(hp.Sites))
+	fmt.Fprintf(&b, "  %-4s %-40s %12s %13s %7s  %s\n",
+		"rank", "function", "objects", "bytes", "share", "hottest line")
 	for i, sc := range hp.Sites {
 		if i >= topN {
 			break
@@ -208,12 +234,8 @@ func (r *Report) Render(topN int) string {
 		if hp.MeasuredBytes > 0 {
 			share = fmt.Sprintf("%5.1f%%", 100*float64(sc.Bytes)/float64(hp.MeasuredBytes))
 		}
-		kind := "est"
-		if sc.Exact {
-			kind = "exact"
-		}
-		fmt.Fprintf(&b, "  %-4d %-14s %-18s %12d %13d %7s %-5s  %s\n",
-			i+1, sc.Site, sc.Package, sc.Count, sc.Bytes, share, kind, sc.Desc)
+		fmt.Fprintf(&b, "  %-4d %-40s %12d %13d %7s  %s\n",
+			i+1, sc.Site, sc.Count, sc.Bytes, share, sc.Desc)
 	}
 	return b.String()
 }

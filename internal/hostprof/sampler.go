@@ -1,11 +1,12 @@
 package hostprof
 
 // The Sampler is the host-side half of hostprof: real clock, real
-// allocator statistics, real pprof. None of this may run inside the
-// simulated packages — the simdeterminism analyzer bans runtime/pprof,
-// runtime.ReadMemStats, and this package's constructors there — so a
-// Sampler is built by package main and injected, exactly like the shrink
-// campaign's wall-clock injection.
+// allocator statistics, the runtime heap profile, real pprof. None of
+// this may run inside the simulated packages — the simdeterminism
+// analyzer bans runtime/pprof, runtime.ReadMemStats, runtime.MemProfile,
+// runtime.GC, and this package's constructors there — so a Sampler is
+// built by package main and injected, exactly like the shrink campaign's
+// wall-clock injection.
 
 import (
 	"context"
@@ -18,8 +19,8 @@ import (
 )
 
 // Sampler measures phases of a host process: wall time, allocator deltas
-// (runtime.ReadMemStats TotalAlloc/Mallocs), and the per-site counter
-// tallies the phase accumulated. Each phase runs under a pprof label
+// (runtime.ReadMemStats TotalAlloc/Mallocs), and the phase's heap-profile
+// attribution to simulator functions. Each phase runs under a pprof label
 // (phase=<name>), so externally captured CPU profiles slice by phase.
 type Sampler struct {
 	phases []PhaseCost
@@ -33,33 +34,63 @@ type Sampler struct {
 func NewSampler() *Sampler { return &Sampler{} }
 
 // Phase runs fn under the pprof label phase=<name> and records its wall
-// seconds, allocator deltas, and the counters' site tallies. The counters
-// may be nil (a pure timing phase). fn's error aborts the phase and is
-// returned; the phase is still recorded so partial runs stay attributable.
-func (s *Sampler) Phase(name string, c *Counters, fn func() error) error {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// seconds, allocator deltas, and the allocations the heap profile charges
+// to each simulator function while fn ran. fn's error aborts the phase
+// and is returned; the phase is still recorded so partial runs stay
+// attributable.
+//
+// The profile is read at the runtime's default sampling rate: a forced
+// collection on each side of fn publishes every allocation made so far,
+// and the diff of the two cumulative snapshots is scaled back up by the
+// rate (see attribute). Each snapshot's own buffer lands outside the
+// diff: the "before" buffer is allocated ahead of its collection, the
+// "after" buffer behind it.
+func (s *Sampler) Phase(name string, fn func() error) error {
+	before := heapProfile(true)
+	var msBefore, msAfter runtime.MemStats
+	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
 	var err error
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) {
 		err = fn()
 	})
 	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	runtime.ReadMemStats(&msAfter)
+	runtime.GC()
+	after := heapProfile(false)
 	pc := PhaseCost{
 		Name:          name,
 		WallSeconds:   wall.Seconds(),
-		MeasuredBytes: int64(after.TotalAlloc - before.TotalAlloc),
-		Mallocs:       int64(after.Mallocs - before.Mallocs),
-		CountedBytes:  c.CountedBytes(),
-		CountedOps:    c.TotalOps(),
-		Sites:         c.Export(),
+		MeasuredBytes: int64(msAfter.TotalAlloc - msBefore.TotalAlloc),
+		Mallocs:       int64(msAfter.Mallocs - msBefore.Mallocs),
+		Sites:         attribute(before, after, runtime.MemProfileRate),
+	}
+	for _, sc := range pc.Sites {
+		pc.CountedBytes += sc.Bytes
+		pc.CountedOps += sc.Count
 	}
 	if err != nil {
 		pc.Err = err.Error()
 	}
 	s.phases = append(s.phases, pc)
 	return err
+}
+
+// heapProfile copies the runtime's cumulative heap-profile records. The
+// profile holds allocations up to the last completed collection; with
+// collect set, the record buffer is allocated first and a collection then
+// publishes everything so far, the buffer included.
+func heapProfile(collect bool) []runtime.MemProfileRecord {
+	for {
+		n, _ := runtime.MemProfile(nil, true)
+		p := make([]runtime.MemProfileRecord, n+64)
+		if collect {
+			runtime.GC()
+		}
+		if n, ok := runtime.MemProfile(p, true); ok {
+			return p[:n]
+		}
+	}
 }
 
 // Phases returns the recorded phases in execution order.
@@ -110,8 +141,8 @@ func (s *Sampler) StopProfiles() error {
 }
 
 // Report seals the sampler into a host-cost/v1 artifact. headline names
-// the phase coverage is computed on (counted exact bytes / measured
-// bytes); it must be one of the recorded phases.
+// the phase coverage is computed on (attributed bytes / measured bytes);
+// it must be one of the recorded phases.
 func (s *Sampler) Report(headline string) (*Report, error) {
 	if len(s.phases) == 0 {
 		return nil, fmt.Errorf("hostprof: no phases recorded")

@@ -15,9 +15,10 @@
 # flight-recorder black box (whose embedded restore point round-trips
 # through validate), the device-chaos campaign is deterministic and a
 # forced device quarantine dumps a black box whose devices section
-# validates, the host-cost attribution artifact validates and its exact
-# counters explain at least 80% of the Fig2 benchmark's measured B/op,
-# and the benchmark gate compares a quick subset
+# validates, the host-cost artifact decoder survives a short fuzz run,
+# the host-cost attribution artifact validates and its heap-profile
+# attribution explains between 80% and 105% of the Fig2 benchmark's
+# measured B/op, and the benchmark gate compares a quick subset
 # against the last committed BENCH_<n>.json snapshot (threshold
 # BENCH_GATE_THRESHOLD percent, default 50; intentional regressions go in
 # scripts/bench-allow.txt).
@@ -112,11 +113,16 @@ for box in "$tmp/flight"/blackbox-*.json; do
 done
 go run ./cmd/tlbtrace query -cat shootdown "$tmp/flight"/blackbox-0-*.json >/dev/null
 
+echo "== hostcost: artifact decoder survives a short fuzz run"
+go test -run '^$' -fuzz '^FuzzParseReport$' -fuzztime 10s -parallel 2 ./internal/hostprof
+
 echo "== hostcost: attribution artifact validates and covers the Fig2 benchmark's B/op"
 # The hostcost experiment's fig2 phase is byte-for-byte the body of
-# BenchmarkFig2BasicCost, so the exact-site bytes the counters attribute
-# must explain at least 80% of what the benchmark actually allocates. A
-# drop below the floor means a new hot allocation site went unattributed.
+# BenchmarkFig2BasicCost, so the bytes the heap profile attributes to
+# simulator functions must explain at least 80% of what the benchmark
+# actually allocates, and at most the fixed 105% ceiling. A drop below
+# the floor means a hot allocation escaped attribution; a rise above the
+# ceiling means the attribution overcounts.
 go run ./cmd/shootdownsim -seed 7 -hostcost "$tmp/hostcost.json" hostcost >/dev/null
 go test -bench 'Fig2BasicCost' -benchmem -benchtime 1x -run '^$' . >"$tmp/hostbench.txt"
 go run ./cmd/tlbtrace hostcost -validate -mincoverage 80 -bench "$tmp/hostbench.txt" "$tmp/hostcost.json"
