@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"shootdown/internal/fault"
+	"shootdown/internal/kernel"
 	"shootdown/internal/trace"
 )
 
 // flightCell runs one planted-bug chaos cell with the flight recorder
-// armed and returns the black box it dumped.
-func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
+// armed and returns the black box it dumped and the engine step the run
+// ended at.
+func flightCell(t *testing.T, dir string) (verdict string, box []byte, steps uint64) {
 	t.Helper()
 	fr, err := trace.NewRecorder(1 << 12)
 	if err != nil {
@@ -25,7 +27,7 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 		t.Fatal(err)
 	}
 	fc.Seed = 7
-	verdict, _, _ = chaosCell(7, 4, fc, true, nil, fr, nil)
+	verdict, _, _ = chaosCell(7, 4, fc, true, nil, fr, func(k *kernel.Kernel) { steps = k.Eng.StepCount() })
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -37,15 +39,15 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return verdict, raw
+	return verdict, raw, steps
 }
 
 // A failing chaos run with the flight recorder armed must write a black
 // box, and two identical failing runs must write byte-identical ones —
 // the end-to-end form of the recorder's determinism guarantee.
 func TestChaosFailureDumpsDeterministicBlackBox(t *testing.T) {
-	v1, box1 := flightCell(t, t.TempDir())
-	v2, box2 := flightCell(t, t.TempDir())
+	v1, box1, _ := flightCell(t, t.TempDir())
+	v2, box2, _ := flightCell(t, t.TempDir())
 	if v1 == VerdictOK {
 		t.Fatalf("planted bug did not fail the run (verdict %s)", v1)
 	}

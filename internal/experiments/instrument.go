@@ -9,43 +9,35 @@ import (
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
+	"shootdown/internal/machine"
 	"shootdown/internal/profile"
 	"shootdown/internal/trace"
 	"shootdown/internal/workload"
 )
 
 // Instrument carries optional observability hooks through an experiment's
-// kernel runs. Every experiment function accepts a trailing variadic
-// Instrument; passing none runs uninstrumented, exactly as before.
+// runs. Every experiment function accepts a trailing variadic Instrument;
+// passing none runs uninstrumented, exactly as before.
 //
-// Tracer is shared by every kernel the experiment builds (each build
-// rebases it, so sequential runs occupy disjoint stretches of one session
-// timeline). Observe is called with each kernel after its run completes —
-// metrics harvesting hangs off it. Neither hook charges virtual time or
-// consumes simulation randomness, so instrumented results are bit-identical
-// to uninstrumented ones. Experiments that assemble a bare machine with no
-// kernel (Pools) attach the tracer but never call Observe.
-// Instruments may also carry a fault-injection config and the oracle switch;
-// experiments propagate them to every kernel they build.
+// The embedded Observers bundle (tracer, profiler, flight recorder) is
+// shared by every world the experiment builds, kernels and the bare
+// machines of Pools alike: each world attaches the whole bundle through
+// machine.Options.Observers and rebases it, so sequential runs occupy
+// disjoint stretches of one session timeline. Observe is called with each
+// kernel after its run completes — metrics harvesting hangs off it; Pools
+// builds no kernel and never calls it. None of the hooks charges virtual
+// time or consumes simulation randomness, so instrumented results are
+// bit-identical to uninstrumented ones. Instruments may also carry a
+// fault-injection config and the oracle switch; experiments propagate
+// them to every kernel they build.
 type Instrument struct {
-	Tracer  *trace.Tracer
+	machine.Observers
 	Observe func(*kernel.Kernel)
 	// Faults injects deterministic hardware faults into every kernel the
 	// experiment builds (nil = fault-free).
 	Faults *fault.Config
 	// Oracle attaches the TLB-consistency checker to every kernel.
 	Oracle bool
-	// Profiler attaches the virtual-time profiler to every kernel the
-	// experiment builds (each build rebases it, like the tracer). Profiling
-	// charges no virtual time, so profiled results are bit-identical to
-	// unprofiled ones.
-	Profiler *profile.Profiler
-	// Flight attaches the flight recorder to every kernel the experiment
-	// builds: watchdog escalations, oracle violations, and run-killing
-	// errors dump a black box of recent events and per-layer state into
-	// the recorder's directory. Like the other hooks it charges no virtual
-	// time, so results are bit-identical with and without it.
-	Flight *trace.Recorder
 }
 
 // pick flattens the optional variadic instrument parameter.
@@ -56,13 +48,16 @@ func pick(ins []Instrument) Instrument {
 	return ins[0]
 }
 
-// defaultWatchdog is armed whenever an instrument injects faults into an
-// experiment that did not configure its own watchdog: without it, a single
+// watchdog arms a default watchdog on o when the instrument injects faults
+// into an experiment that did not configure its own: without it, a single
 // dropped IPI would hang the initiator until the virtual-time bound.
-var defaultWatchdog = core.Options{
-	WatchdogTimeout:    1_000_000,
-	WatchdogMaxRetries: 3,
-	WatchdogBackoffMax: 8_000_000,
+func (in Instrument) watchdog(o core.Options) core.Options {
+	if in.Faults != nil && in.Faults.Enabled() && o.WatchdogTimeout == 0 {
+		o.WatchdogTimeout = 1_000_000
+		o.WatchdogMaxRetries = 3
+		o.WatchdogBackoffMax = 8_000_000
+	}
+	return o
 }
 
 // App applies the instrument to a workload configuration; commands that
@@ -71,35 +66,23 @@ func (in Instrument) App(c workload.AppConfig) workload.AppConfig { return in.ap
 
 // app applies the instrument to a workload configuration.
 func (in Instrument) app(c workload.AppConfig) workload.AppConfig {
-	c.Tracer = in.Tracer
+	c.Tracer, c.Profiler, c.Flight = in.Tracer, in.Profiler, in.Flight
 	c.Observe = in.Observe
 	c.Faults = in.Faults
 	c.Oracle = in.Oracle
-	c.Profiler = in.Profiler
-	c.Flight = in.Flight
-	if in.Faults != nil && in.Faults.Enabled() && c.ShootdownOptions.WatchdogTimeout == 0 {
-		c.ShootdownOptions.WatchdogTimeout = defaultWatchdog.WatchdogTimeout
-		c.ShootdownOptions.WatchdogMaxRetries = defaultWatchdog.WatchdogMaxRetries
-		c.ShootdownOptions.WatchdogBackoffMax = defaultWatchdog.WatchdogBackoffMax
-	}
+	c.ShootdownOptions = in.watchdog(c.ShootdownOptions)
 	return c
 }
 
 // config applies the instrument to a raw kernel configuration (experiments
 // that assemble kernels directly rather than via package workload).
 func (in Instrument) config(c kernel.Config) kernel.Config {
-	c.Tracer = in.Tracer
+	c.Machine.Observers = in.Observers
 	c.Oracle = in.Oracle
-	c.Profiler = in.Profiler
-	c.Flight = in.Flight
 	if in.Faults != nil && in.Faults.Enabled() {
 		c.Machine.Faults = fault.New(*in.Faults)
-		if c.Shootdown.WatchdogTimeout == 0 {
-			c.Shootdown.WatchdogTimeout = defaultWatchdog.WatchdogTimeout
-			c.Shootdown.WatchdogMaxRetries = defaultWatchdog.WatchdogMaxRetries
-			c.Shootdown.WatchdogBackoffMax = defaultWatchdog.WatchdogBackoffMax
-		}
 	}
+	c.Shootdown = in.watchdog(c.Shootdown)
 	return c
 }
 

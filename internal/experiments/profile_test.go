@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"shootdown/internal/machine"
 	"shootdown/internal/profile"
 )
 
@@ -81,7 +82,7 @@ func TestProfileDeterministic(t *testing.T) {
 // share one attribution stream).
 func TestProfileUsesSuppliedProfiler(t *testing.T) {
 	p := profile.New()
-	r, err := Profile(7, 1, Instrument{Profiler: p})
+	r, err := Profile(7, 1, Instrument{Observers: machine.Observers{Profiler: p}})
 	if err != nil {
 		t.Fatal(err)
 	}

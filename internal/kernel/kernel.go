@@ -7,9 +7,7 @@
 package kernel
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
@@ -62,28 +60,11 @@ type Config struct {
 	// TraceOff starts with instrumentation disabled (the perturbation
 	// experiment compares instrumented and uninstrumented runs).
 	TraceOff bool
-	// Tracer, when set, receives typed span/instant events from every
-	// layer (sim, machine, tlb, shootdown, kernel). Recording charges no
-	// virtual time and consumes no simulation randomness, so results are
-	// bit-identical with and without it.
-	Tracer *trace.Tracer
 	// Oracle, when true, attaches an independent TLB-consistency checker
 	// (internal/oracle) that shadows every page table and fails Run if any
 	// TLB grants an access through a stale translation. Checking charges no
 	// virtual time and consumes no simulation randomness.
 	Oracle bool
-	// Profiler, when set, attaches the virtual-time profiler (DESIGN.md
-	// §12): phase attribution on every CPU, per-shootdown critical paths,
-	// and lock/bus contention histograms. Like the tracer it charges no
-	// virtual time and consumes no simulation randomness.
-	Profiler *profile.Profiler
-	// Flight, when set, attaches the flight recorder (DESIGN.md §13): a
-	// bounded ring of recent events plus state providers for every layer,
-	// dumped as a black box when the watchdog escalates, the oracle flags
-	// a divergence, or the run dies (deadlock / virtual-time bound). When
-	// no Tracer is configured the recorder's own ring becomes the kernel's
-	// tracer, so black boxes always carry recent events.
-	Flight *trace.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -136,41 +117,16 @@ type Kernel struct {
 // New builds a kernel over a fresh machine.
 func New(cfg Config) (*Kernel, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Flight != nil {
-		// New kernel, new providers; the recorder's trip/dump sequence
-		// persists across a session's sequential kernels.
-		cfg.Flight.BeginRun()
-		if cfg.Tracer == nil {
-			cfg.Tracer = cfg.Flight.Ring()
-		} else {
-			cfg.Flight.AttachRing(cfg.Tracer)
-		}
-	}
-	engOpts := []sim.Option{sim.WithMaxTime(cfg.MaxTime)}
+	cfg.Machine.Observers.BeginWorld("kernel")
+	engOpts := []sim.Option{sim.WithMaxTime(cfg.MaxTime), sim.WithTracer(cfg.Machine.Observers.Tracer)}
 	if cfg.ChaosSeed != 0 {
 		engOpts = append(engOpts, sim.WithChaos(cfg.ChaosSeed))
-	}
-	if cfg.Tracer != nil {
-		engOpts = append(engOpts, sim.WithTracer(cfg.Tracer))
-		// Each kernel's engine restarts virtual time at zero; rebasing
-		// keeps sequential runs from overlapping on a shared session trace.
-		cfg.Tracer.Rebase("kernel")
 	}
 	eng := sim.New(engOpts...)
 	if len(cfg.ForcedTies) > 0 {
 		eng.SetForcedTies(cfg.ForcedTies)
 	}
 	m := machine.New(eng, cfg.Machine)
-	if cfg.Tracer != nil {
-		m.SetTracer(cfg.Tracer)
-	}
-	if cfg.Profiler != nil {
-		// Like the tracer, a shared session profiler is rebased so
-		// sequential kernels don't overlap in virtual time.
-		cfg.Profiler.Rebase()
-		cfg.Profiler.SetIRQLatency(int64(m.Costs().IRQLatency))
-		m.SetProfiler(cfg.Profiler)
-	}
 	k := &Kernel{
 		Eng:       eng,
 		M:         m,
@@ -198,8 +154,6 @@ func New(cfg Config) (*Kernel, error) {
 	} else {
 		sd := core.New(m, cfg.Shootdown)
 		sd.Trace = k.Trace
-		sd.Span = cfg.Tracer
-		sd.Prof = cfg.Profiler
 		k.Shoot = sd
 		strat = sd
 	}
@@ -220,8 +174,8 @@ func New(cfg Config) (*Kernel, error) {
 	m.SetHandler(machine.VecTimer, func(ex *machine.Exec, _ machine.Vector) {
 		k.timerTick(ex)
 	})
-	if cfg.Flight != nil {
-		k.registerFlight(cfg.Flight)
+	if fr := m.Observers().Flight; fr != nil {
+		k.registerFlight(fr)
 	}
 	return k, nil
 }
@@ -248,9 +202,6 @@ type faultSnap struct {
 // engine, cpus, devices (machines with devices only), shootdown, sched,
 // oracle, faults, dags, snapshots.
 func (k *Kernel) registerFlight(fr *trace.Recorder) {
-	if k.Shoot != nil {
-		k.Shoot.Flight = fr
-	}
 	if k.Oracle != nil {
 		k.Oracle.OnViolation = func(v oracle.Violation) {
 			fr.Trip(int64(v.Time), "oracle", v.String())
@@ -282,7 +233,7 @@ func (k *Kernel) registerFlight(fr *trace.Recorder) {
 			return faultSnap{Spec: cfg.Spec(), Seed: cfg.Seed, Stats: inj.Stats(), Events: inj.Events()}
 		})
 	}
-	if p := k.cfg.Profiler; p != nil {
+	if p := k.M.Observers().Profiler; p != nil {
 		fr.Register("dags", func() any { return profile.ExportShootdowns(p) })
 	}
 	// The last full-state snapshot taken during the run, so a black box
@@ -447,17 +398,7 @@ func (k *Kernel) Finish(err error) error {
 	}
 	k.finished = true
 	k.closeOpenSpans()
-	k.cfg.Profiler.FinishAt(int64(k.Eng.Now()))
-	if err != nil && k.cfg.Flight != nil {
-		reason := "error"
-		switch {
-		case errors.Is(err, sim.ErrDeadlock):
-			reason = "deadlock"
-		case strings.Contains(err.Error(), "virtual time limit"):
-			reason = "timeout"
-		}
-		k.cfg.Flight.Trip(int64(k.Eng.Now()), reason, err.Error())
-	}
+	k.M.EndWorld(err)
 	if err == nil {
 		k.Oracle.Check()
 		err = k.Oracle.Err()
@@ -470,7 +411,7 @@ func (k *Kernel) Finish(err error) error {
 // idle loops (and, on a time-bounded run, dispatched threads) never emit
 // their closing events. Chrome-trace consumers require balanced spans.
 func (k *Kernel) closeOpenSpans() {
-	tr := k.cfg.Tracer
+	tr := k.M.Observers().Tracer
 	if tr == nil {
 		return
 	}
@@ -524,8 +465,8 @@ func (k *Kernel) dequeue(ex *machine.Exec) *Thread {
 // actions before dispatching (the idle-processor optimization's contract),
 // and hands the CPU to the chosen thread.
 func (k *Kernel) idleLoop(p *sim.Proc, cpu int) {
-	tr := k.cfg.Tracer
-	pr := k.cfg.Profiler
+	obs := k.M.Observers()
+	tr, pr := obs.Tracer, obs.Profiler
 	for {
 		ex := k.M.Attach(p, cpu)
 		k.Strategy.GoIdle(ex)
@@ -578,7 +519,7 @@ func (t *Thread) releaseCPU() {
 	cpu := t.ex.CPUID()
 	t.task.Map.Pmap.Deactivate(t.ex, cpu)
 	k.current[cpu] = nil
-	k.cfg.Tracer.End(int64(t.ex.Now()), cpu, trace.CatKernel, "thread-run")
+	k.M.Observers().Tracer.End(int64(t.ex.Now()), cpu, trace.CatKernel, "thread-run")
 	t.ex.Detach()
 	t.ex = nil
 	k.wakeIdle(cpu)

@@ -60,7 +60,7 @@ func (k *Kernel) failCPU(cpu int) {
 		return
 	}
 	now := int64(k.Eng.Now())
-	tr := k.cfg.Tracer
+	tr := k.M.Observers().Tracer
 	// The idle proc is either attached and spinning (machine.FailCPU
 	// already halted it) or parked while a thread holds the CPU; Kill is
 	// idempotent either way.

@@ -126,7 +126,7 @@ func (k *Kernel) Metrics() *trace.MetricSet {
 	ms.Counter("xpr_dropped_records_total",
 		"xpr records lost to wraparound (nonzero means the buffer was undersized).",
 		float64(k.Trace.Dropped()), nil)
-	if tr := k.cfg.Tracer; tr != nil {
+	if tr := k.Tracer(); tr != nil {
 		ms.Counter("trace_events_total", "Events held in the span tracer.", float64(tr.Len()), nil)
 		ms.Counter("trace_dropped_events_total",
 			"Span-tracer events lost to wraparound.", float64(tr.Dropped()), nil)
@@ -135,4 +135,4 @@ func (k *Kernel) Metrics() *trace.MetricSet {
 }
 
 // Tracer returns the session tracer, if one was configured.
-func (k *Kernel) Tracer() *trace.Tracer { return k.cfg.Tracer }
+func (k *Kernel) Tracer() *trace.Tracer { return k.M.Observers().Tracer }

@@ -131,6 +131,10 @@ type Options struct {
 	// before failing, which the consistency oracle must catch. Used only
 	// to validate the oracle and the chaos shrinker.
 	SkipReviveFlush bool
+	// Observers attaches the world's tracer, profiler and flight
+	// recorder, as normalized by Observers.BeginWorld. The zero value
+	// observes nothing.
+	Observers Observers
 }
 
 func (o Options) withDefaults() Options {
@@ -167,8 +171,8 @@ type Machine struct {
 	faults   *fault.Injector     //snap:derived the injector serializes itself (fault.Injector.Snapshot, the flight recorder's "faults" section)
 	handlers [numVectors]Handler //snap:derived vector wiring installed by the protocol layers at construction
 	prio     [numVectors]IPL     //snap:derived fixed vector-to-IPL table installed at construction
-	tracer   *trace.Tracer       //snap:transient observation attachment, reattached by the session
-	prof     *profile.Profiler   //snap:transient observation attachment, reattached by the session
+	tracer   *trace.Tracer       //snap:transient observation attachment (opts.Observers), reattached by the session
+	prof     *profile.Profiler   //snap:transient observation attachment (opts.Observers), reattached by the session
 	mmuObs   MMUObserver         //snap:transient observation attachment (the oracle), reattached by the session
 
 	// epoch counts CPU membership changes (fail or online transitions);
@@ -241,6 +245,8 @@ func New(eng *sim.Engine, opts Options) *Machine {
 		costs:  opts.Costs,
 		rng:    rand.New(rand.NewSource(opts.Seed + 1000)),
 		faults: opts.Faults,
+		tracer: opts.Observers.Tracer,
+		prof:   opts.Observers.Profiler,
 	}
 	m.Bus = NewBus(m.costs.BusOccupancy)
 	// Vector priorities: device and timer sit at device level. The IPI
@@ -269,49 +275,9 @@ func New(eng *sim.Engine, opts Options) *Machine {
 		m.faults.SetClock(func() sim.Time { return eng.Now() })
 		m.faults.SetStepClock(eng.StepCount)
 	}
+	m.attachObservers()
 	return m
 }
-
-// SetTracer attaches the observability tracer to the machine and wires a
-// per-CPU TLB observer so hit/miss/invalidate/flush events land on the
-// owning CPU's timeline (device IOTLB events land on the device's own
-// timeline above the CPU rows). A nil tracer detaches instrumentation.
-func (m *Machine) SetTracer(t *trace.Tracer) {
-	m.tracer = t
-	for _, c := range m.cpus {
-		if t == nil {
-			c.TLB.Observer = nil
-			continue
-		}
-		cpu := c.id
-		c.TLB.Observer = func(op tlb.Op, n int) {
-			m.tracer.Instant(int64(m.Eng.Now()), cpu, trace.CatTLB, op.String(), int64(n), 0)
-		}
-	}
-	for _, d := range m.devs {
-		if t == nil {
-			d.TLB.Observer = nil
-			continue
-		}
-		tid := d.tid()
-		d.TLB.Observer = func(op tlb.Op, n int) {
-			m.tracer.Instant(int64(m.Eng.Now()), tid, trace.CatTLB, op.String(), int64(n), 0)
-		}
-	}
-}
-
-// Tracer returns the machine's tracer (possibly nil).
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
-
-// SetProfiler attaches the virtual-time profiler (DESIGN.md §12). Like
-// the tracer, profiler hooks charge no virtual time and consume no
-// simulation randomness, so profiled runs are bit-identical to
-// unprofiled ones. Every profile method is nil-safe, so hooks need no
-// guards; a nil profiler detaches instrumentation.
-func (m *Machine) SetProfiler(p *profile.Profiler) { m.prof = p }
-
-// Profiler returns the machine's profiler (possibly nil).
-func (m *Machine) Profiler() *profile.Profiler { return m.prof }
 
 // NumCPUs returns the processor count.
 func (m *Machine) NumCPUs() int { return len(m.cpus) }

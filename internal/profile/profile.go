@@ -119,9 +119,9 @@ func newContention() *ContentionProfile {
 	}
 }
 
-// Profiler is the virtual-time profiler. Attach it with
-// machine.SetProfiler / kernel.Config.Profiler; all methods are nil-safe
-// and cost no virtual time.
+// Profiler is the virtual-time profiler. Attach it to a world through
+// machine.Options.Observers; all methods are nil-safe and cost no
+// virtual time.
 type Profiler struct {
 	// BucketNS is the utilization-timeline bucket width; set it before
 	// the first event (0 = DefaultBucketNS).
@@ -153,7 +153,7 @@ func New() *Profiler {
 
 // SetIRQLatency records the machine's interrupt latency so the causal
 // reconstructor can split a responder's post→deliver wait into hardware
-// latency and masked time. Wired by the kernel from the machine's costs.
+// latency and masked time. Wired by the machine from its costs.
 func (p *Profiler) SetIRQLatency(ns int64) {
 	if p == nil {
 		return
@@ -190,7 +190,7 @@ func (p *Profiler) Rebase() {
 }
 
 // FinishAt completes phase accounting up to the given (raw) timestamp;
-// the kernel calls it when a run ends so trailing time is charged.
+// machine.EndWorld calls it when a run ends so trailing time is charged.
 func (p *Profiler) FinishAt(ts int64) {
 	if p == nil {
 		return

@@ -166,10 +166,6 @@ type Engine struct {
 	//snap:transient observation hook, reattached by the recorder
 	tieRec func(TieDecision)
 
-	// TraceFn, if set, receives one line per scheduling event (debugging).
-	//snap:transient debugging hook, reattached by whoever installed it
-	TraceFn func(format string, args ...interface{})
-
 	// tracer, if set, receives typed scheduling events (proc run, sleep,
 	// block, preempt, done) on per-proc timelines. Recording charges no
 	// virtual time, so tracing cannot perturb simulation results.
@@ -259,12 +255,6 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	heap.Push(&e.runq, p)
 }
 
-func (e *Engine) trace(format string, args ...interface{}) {
-	if e.TraceFn != nil {
-		e.TraceFn(format, args...)
-	}
-}
-
 // Run executes procs in virtual-time order until all are done, Stop is
 // called, or no runnable proc remains. It returns ErrDeadlock (wrapped with
 // diagnostics) if blocked procs remain, or the panic error of a proc that
@@ -316,7 +306,6 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 		p.clock = e.now
 		p.state = StateRunning
 		e.cur = p
-		e.trace("[%d ns] run %q", e.now, p.name)
 		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
 		p.resume <- struct{}{}
 		msg := <-e.yield
@@ -329,7 +318,6 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 			p.state = StateBlocked
 		case yieldDone:
 			p.state = StateDone
-			e.trace("[%d ns] done %q", e.now, p.name)
 			e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "done", 0, 0)
 		case yieldPanic:
 			p.state = StateDone
@@ -473,7 +461,6 @@ func (e *Engine) Kill(p *Proc) bool {
 	}
 	p.state = StateHalted
 	p.ClearWaiting()
-	e.trace("[%d ns] halt %q", e.now, p.name)
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "halt", 0, 0)
 	return true
 }

@@ -94,10 +94,11 @@ type provider struct {
 	snap func() any
 }
 
-// Recorder is the flight recorder. Build one with NewRecorder, hand it to
-// kernel.Config.Flight (experiments plumb it via Instrument), and call
-// SetDir to choose where black boxes land. A nil *Recorder is a valid
-// "flight recording disabled" value: every method is a no-op on it.
+// Recorder is the flight recorder. Build one with NewRecorder, attach it
+// to a world through machine.Options.Observers (experiments plumb it via
+// Instrument), and call SetDir to choose where black boxes land. A nil
+// *Recorder is a valid "flight recording disabled" value: every method is
+// a no-op on it.
 type Recorder struct {
 	ring  *Tracer
 	owned bool // ring created here (vs. an attached session tracer)
@@ -110,9 +111,9 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder with an owned event ring of the given
-// capacity. The ring is a plain Tracer, so attaching it as the kernel's
-// tracer costs nothing extra; kernel.New does exactly that when no session
-// tracer is configured.
+// capacity. The ring is a plain Tracer, so attaching it as the world's
+// tracer costs nothing extra; machine.Observers.BeginWorld does exactly
+// that when no session tracer is configured.
 func NewRecorder(ringSize int) (*Recorder, error) {
 	t, err := New(ringSize)
 	if err != nil {

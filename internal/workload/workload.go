@@ -146,6 +146,7 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		SkipReviveFlush:  c.BugSkipReviveFlush,
 		NumDevices:       c.NumDevices,
 		SkipDevInval:     c.BugSkipDevInval,
+		Observers:        machine.Observers{Tracer: c.Tracer, Profiler: c.Profiler, Flight: c.Flight},
 	}
 	if c.Faults != nil && c.Faults.Enabled() {
 		mo.Faults = fault.New(*c.Faults)
@@ -166,10 +167,7 @@ func (c AppConfig) newKernel() (*kernel.Kernel, error) {
 		ForcedTies:       c.ForcedTies,
 		TraceOff:         c.TraceOff,
 		MaxTime:          c.MaxVirtualTime,
-		Tracer:           c.Tracer,
 		Oracle:           c.Oracle,
-		Profiler:         c.Profiler,
-		Flight:           c.Flight,
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@
 # Full local CI. Tier 1 (build + test + lint) is the hard floor — lint is
 # go vet plus the shootdownlint analyzer suite (DESIGN.md §10), which
 # machine-checks the simulator's determinism, IPL, and lock-ordering
-# invariants. Tier 2 runs the race detector over internal/sim and
+# invariants. Tier 1 also vets and self-tests perfbench: it is a separate
+# module, so the root `go test ./...` never compiles it, yet it builds
+# against the experiment, workload and kernel APIs. Tier 2 runs the race detector over internal/sim and
 # internal/trace, the only packages allowed real concurrency (the
 # simconcurrency analyzer enforces that everything else stays in virtual
 # time), plus the chaos-campaign survival tests and a replay of every
@@ -36,6 +38,9 @@ go vet ./...
 
 echo "== tier 1: shootdownlint ./... (full analyzer suite, one invocation)"
 go run ./cmd/shootdownlint ./...
+
+echo "== tier 1: perfbench compiles and self-tests (separate module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== tier 2: go test -race ./internal/sim/... ./internal/trace/..."
 go test -race ./internal/sim/... ./internal/trace/...
