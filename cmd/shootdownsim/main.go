@@ -135,8 +135,17 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
+
+	// Observability hooks: one session tracer and one profiler shared by
+	// every kernel the experiments (or a -repro replay) build, and a
+	// metrics snapshot of the last completed run.
+	inp, err := cli.Instrument()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shootdownsim: %v\n", err)
+		os.Exit(2)
+	}
 	if *repro != "" {
-		replayRepro(*repro)
+		replayRepro(*repro, *inp)
 		return
 	}
 	if len(args) == 0 {
@@ -154,15 +163,6 @@ func main() {
 		want[a] = true
 	}
 	all := want["all"]
-
-	// Observability hooks: one session tracer and one profiler shared by
-	// every kernel the experiments build, and a metrics snapshot of the
-	// last completed run.
-	inp, err := cli.Instrument()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shootdownsim: %v\n", err)
-		os.Exit(2)
-	}
 	in := *inp
 	if *faults != "" {
 		fc, err := fault.ParseSpec(*faults)
@@ -421,18 +421,23 @@ func writeHostCost(path string, r *hostprof.Report) error {
 	return f.Close()
 }
 
-// replayRepro re-executes a minimized chaos reproducer: exit 0 only if
-// the replay reaches exactly the recorded verdict.
-func replayRepro(path string) {
+// replayRepro re-executes a minimized chaos reproducer under the CLI's
+// observability hooks: exit 0 only if the replay reaches exactly the
+// recorded verdict.
+func replayRepro(path string, in experiments.Instrument) {
 	r, err := shrink.Load(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shootdownsim: -repro: %v\n", err)
 		os.Exit(2)
 	}
-	verdict, detail, err := experiments.ReplayRepro(r)
+	verdict, detail, err := experiments.ReplayRepro(r, in)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shootdownsim: -repro: %v\n", err)
 		os.Exit(2)
+	}
+	if err := cli.Finish(); err != nil {
+		fmt.Fprintf(os.Stderr, "shootdownsim: %v\n", err)
+		os.Exit(1)
 	}
 	keep := make([]string, len(r.Keep))
 	for i, id := range r.Keep {

@@ -25,7 +25,6 @@ import (
 	"shootdown/internal/core"
 	"shootdown/internal/experiments"
 	"shootdown/internal/machine"
-	"shootdown/internal/tlb"
 	"shootdown/internal/workload"
 )
 
@@ -59,23 +58,8 @@ func main() {
 		cfg.App.Strategy = func(*machine.Machine) (core.Strategy, error) {
 			return baseline.NewNone(), nil
 		}
-	case "hardware-remote":
-		cfg.App.RemoteInvalidate = true
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackInterlocked}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewHardwareRemote(m)
-		}
-	case "postponed-ipi":
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackNone}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewPostponedIPI(m)
-		}
-	case "timer-flush":
-		cfg.KeepTimer = true
-		cfg.App.TLB = tlb.Config{Writeback: tlb.WritebackInterlocked}
-		cfg.App.Strategy = func(m *machine.Machine) (core.Strategy, error) {
-			return baseline.NewTimerFlush(m)
-		}
+	case "hardware-remote", "postponed-ipi", "timer-flush":
+		cfg.App, cfg.KeepTimer = experiments.StrategyCase(*strategy)
 	default:
 		fmt.Fprintf(os.Stderr, "tlbtest: unknown strategy %q\n", *strategy)
 		os.Exit(2)

@@ -208,8 +208,10 @@ type Options struct {
 	// WatchdogTimeout arms an initiator-side watchdog: if a responder has
 	// not acknowledged within this much virtual time, the initiator
 	// re-sends the IPI (it may have been dropped) and doubles the timeout
-	// up to WatchdogBackoffMax. Zero (the default) disables the watchdog —
-	// the paper's protocol, which trusts the interrupt hardware.
+	// up to WatchdogBackoffMax. The same timeout bounds each wait for a
+	// device completion before the device watchdog ladder engages. Zero
+	// (the default) disables the watchdog — the paper's protocol, which
+	// trusts the interrupt hardware and spins on devices unboundedly.
 	WatchdogTimeout sim.Time
 	// WatchdogMaxRetries is the number of timed-out retries before the
 	// watchdog escalates to the conservative path: the straggler's action
@@ -220,12 +222,6 @@ type Options struct {
 	// Default 16× WatchdogTimeout.
 	WatchdogBackoffMax sim.Time
 
-	// DevCompletionTimeout bounds the initiator's wait for one device
-	// completion before the device watchdog ladder engages. Defaults to
-	// WatchdogTimeout when the watchdog is armed; with no watchdog the
-	// initiator spins unboundedly, trusting the device like the paper
-	// trusts the interrupt hardware.
-	DevCompletionTimeout sim.Time
 	// DevMaxRerings is how many timed-out waits are answered with a
 	// doorbell re-ring before the ladder escalates to drain-and-reset
 	// (and, if the reset fails or does not help, quarantine). Default 2.
@@ -245,9 +241,6 @@ func (o Options) withDefaults() Options {
 		}
 		if o.WatchdogBackoffMax == 0 {
 			o.WatchdogBackoffMax = 16 * o.WatchdogTimeout
-		}
-		if o.DevCompletionTimeout == 0 {
-			o.DevCompletionTimeout = o.WatchdogTimeout
 		}
 		if o.DevMaxRerings == 0 {
 			o.DevMaxRerings = 2
@@ -804,7 +797,7 @@ func (s *Shootdown) waitForDevice(ex *machine.Exec, w devWaiter) {
 	}
 	me := ex.CPUID()
 	obs := s.m.Observers()
-	timeout := s.opts.DevCompletionTimeout
+	timeout := s.opts.WatchdogTimeout
 	var firstTimeout sim.Time
 	resetTried := false
 	for retry := 0; !ex.SpinWhileFor(cond, timeout); retry++ {

@@ -31,39 +31,48 @@ type StrategyRow struct {
 	Consistent bool
 }
 
-// strategyCases enumerates the comparable mechanisms with the hardware
-// each one requires.
-func strategyCases() []struct {
+// strategyCase is one comparable mechanism with the hardware it requires.
+type strategyCase struct {
 	name      string
 	keepTimer bool
 	app       workload.AppConfig
-} {
-	return []struct {
-		name      string
-		keepTimer bool
-		app       workload.AppConfig
-	}{
-		{"mach-shootdown", false, workload.AppConfig{}},
-		{"hardware-remote", false, workload.AppConfig{
-			RemoteInvalidate: true,
-			TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewHardwareRemote(m)
-			},
-		}},
-		{"postponed-ipi", false, workload.AppConfig{
-			TLB: tlb.Config{Writeback: tlb.WritebackNone},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewPostponedIPI(m)
-			},
-		}},
-		{"timer-flush", true, workload.AppConfig{
-			TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
-			Strategy: func(m *machine.Machine) (core.Strategy, error) {
-				return baseline.NewTimerFlush(m)
-			},
-		}},
+}
+
+// strategyCases enumerates the comparable mechanisms.
+var strategyCases = []strategyCase{
+	{"mach-shootdown", false, workload.AppConfig{}},
+	{"hardware-remote", false, workload.AppConfig{
+		RemoteInvalidate: true,
+		TLB:              tlb.Config{Writeback: tlb.WritebackInterlocked},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewHardwareRemote(m)
+		},
+	}},
+	{"postponed-ipi", false, workload.AppConfig{
+		TLB: tlb.Config{Writeback: tlb.WritebackNone},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewPostponedIPI(m)
+		},
+	}},
+	{"timer-flush", true, workload.AppConfig{
+		TLB: tlb.Config{Writeback: tlb.WritebackInterlocked},
+		Strategy: func(m *machine.Machine) (core.Strategy, error) {
+			return baseline.NewTimerFlush(m)
+		},
+	}},
+}
+
+// StrategyCase returns the workload configuration (hardware and strategy)
+// of the named mechanism from the strategies ablation, and whether it
+// keeps the clock-tick timer running. An unknown name yields the Mach
+// shootdown's zero configuration.
+func StrategyCase(name string) (app workload.AppConfig, keepTimer bool) {
+	for _, c := range strategyCases {
+		if c.name == name {
+			return c.app, c.keepTimer
+		}
 	}
+	return workload.AppConfig{}, false
 }
 
 // StrategyCompare measures the vm_protect latency of each mechanism.
@@ -73,7 +82,7 @@ func StrategyCompare(seed int64, ks []int, ins ...Instrument) (StrategyCompareRe
 		ks = []int{2, 6, 12}
 	}
 	var out StrategyCompareResult
-	for _, c := range strategyCases() {
+	for _, c := range strategyCases {
 		for _, k := range ks {
 			res, err := workload.RunTester(workload.TesterConfig{
 				NCPUs: 16, Children: k, Seed: seed + int64(k),

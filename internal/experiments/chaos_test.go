@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"shootdown/internal/artifact"
 	"shootdown/internal/fault/shrink"
+	"shootdown/internal/kernel"
+	"shootdown/internal/trace"
 )
 
 // TestChaosCampaignSurvivesWithoutBug is the tentpole acceptance run: with
@@ -120,6 +123,51 @@ func TestCorpusReplay(t *testing.T) {
 				t.Fatalf("replay verdict %s (%s), recorded %s", verdict, detail, r.Verdict)
 			}
 		})
+	}
+}
+
+// A reproducer replayed with a flight recorder runs through Cell.Run's
+// flight-armed path: the black box its violation trips carries the mid-run
+// restore point, and the replay reaches its recorded verdict unchanged.
+func TestReplayReproFlightCarriesRestorePoint(t *testing.T) {
+	r, err := shrink.Load(filepath.Join("testdata", "corpus", "hotplug-stale-revive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := trace.NewRecorder(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fr.SetDir(dir)
+	fr.SetMaxDumps(1)
+	observed := 0
+	in := Instrument{Observe: func(*kernel.Kernel) { observed++ }}
+	in.Flight = fr
+	verdict, detail, err := ReplayRepro(r, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict != r.Verdict {
+		t.Fatalf("replay verdict %s (%s), recorded %s", verdict, detail, r.Verdict)
+	}
+	if observed != 1 {
+		t.Fatalf("Observe saw %d kernels, want 1", observed)
+	}
+	boxes, err := filepath.Glob(filepath.Join(dir, "blackbox-*.json"))
+	if err != nil || len(boxes) != 1 {
+		t.Fatalf("flight recorder wrote %d black boxes (%v), want 1", len(boxes), err)
+	}
+	bb, err := artifact.LoadBlackBox(boxes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok, err := artifact.SnapshotFromBox(bb)
+	if err != nil || !ok {
+		t.Fatalf("SnapshotFromBox: ok=%v err=%v", ok, err)
+	}
+	if s.Step != 2000 {
+		t.Fatalf("restore point at step %d, want 2000", s.Step)
 	}
 }
 

@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"text/tabwriter"
 
 	"shootdown/internal/explore"
-	"shootdown/internal/fault"
-	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
-	"shootdown/internal/trace"
 )
 
 // deviceScenarios is the device-chaos campaign: IOMMU/device-TLB fault
@@ -18,10 +14,7 @@ import (
 // every device TLB. The quarantine ladder must carry every run to a clean
 // finish: a wedged device never wedges the shootdown, and no DMA ever
 // lands through a translation the device acknowledged invalidating.
-var deviceScenarios = []struct {
-	Name string
-	Spec string
-}{
+var deviceScenarios = []scenario{
 	{"devstall", "devstall=0.6,devstallmax=6ms"},
 	{"doorbell-drop", "devdrop=0.5"},
 	{"wedge", "devwedge=0.25"},
@@ -34,14 +27,8 @@ var deviceScenarios = []struct {
 
 // DeviceChaosRun is one device scenario's outcome.
 type DeviceChaosRun struct {
-	Scenario string
-	Spec     string
-	Bug      string `json:",omitempty"`
+	campaignHead
 
-	Verdict string
-	Err     string `json:",omitempty"`
-
-	Faults fault.Stats
 	// Device-side shootdown counters: invalidations posted, and the
 	// watchdog ladder's escalation tallies.
 	DevShootdowns      uint64
@@ -53,13 +40,8 @@ type DeviceChaosRun struct {
 	DevOfflineSkipped  uint64
 	OracleDevUseChecks uint64
 	OracleGraceUses    uint64
-	Violations         uint64
 
-	// Shrink results, when the run failed and shrinking was enabled.
-	ScheduleLen int             `json:",omitempty"` // events in the failing schedule
-	Shrunk      []fault.EventID `json:",omitempty"` // 1-minimal subset
-	ShrinkTests int             `json:",omitempty"`
-	Repro       *shrink.Repro   `json:",omitempty"`
+	campaignTail
 }
 
 // DeviceChaosResult is the whole device campaign.
@@ -71,15 +53,7 @@ type DeviceChaosResult struct {
 }
 
 // Failures counts non-ok runs.
-func (r DeviceChaosResult) Failures() int {
-	n := 0
-	for _, run := range r.Runs {
-		if run.Verdict != VerdictOK {
-			n++
-		}
-	}
-	return n
-}
+func (r DeviceChaosResult) Failures() int { return failures(r.Runs) }
 
 // DeviceChaosOptions tunes the device campaign.
 type DeviceChaosOptions struct {
@@ -102,103 +76,45 @@ type DeviceChaosOptions struct {
 	WallClock func() int64
 }
 
-// deviceCampaignCell assembles the shared device-chaos fixture: the
-// DMA-streaming workload at half scale, hardened watchdog, oracle
-// shadowing every device TLB.
-func deviceCampaignCell(seed int64, opt DeviceChaosOptions, fc fault.Config, ties []int, fr *trace.Recorder) explore.Cell {
-	return explore.Cell{
-		Seed:      seed,
-		NCPUs:     opt.NCPUs,
-		Workload:  "dma",
-		Devices:   opt.Devices,
-		Fault:     fc,
-		DevBug:    opt.PlantBug,
-		Shootdown: campaignWatchdog,
-		Ties:      ties,
-		Flight:    fr,
-	}
-}
-
 // DeviceChaosCampaign runs every device-chaos scenario against the
-// DMA-streaming workload. A failing run (which, with PlantBug, is the
-// expected outcome) is delta-debugged down to a 1-minimal fault schedule
-// and packaged as a replayable reproducer, exactly like the CPU campaign.
+// DMA-streaming workload (at half scale, hardened watchdog, oracle
+// shadowing every device TLB). A failing run (which, with PlantBug, is
+// the expected outcome) is delta-debugged down to a 1-minimal fault
+// schedule and packaged as a replayable reproducer, exactly like the CPU
+// campaign.
 func DeviceChaosCampaign(seed int64, opt DeviceChaosOptions, ins ...Instrument) (DeviceChaosResult, error) {
-	in := pick(ins)
 	if opt.NCPUs == 0 {
 		opt.NCPUs = 4
 	}
 	if opt.Devices == 0 {
 		opt.Devices = 2
 	}
-	if opt.MaxShrinkRuns == 0 {
-		opt.MaxShrinkRuns = 48
+	c := campaign{
+		kind:      "device",
+		scenarios: deviceScenarios,
+		cell: explore.Cell{Seed: seed, NCPUs: opt.NCPUs, Workload: "dma", Devices: opt.Devices,
+			DevBug: opt.PlantBug, Shootdown: campaignWatchdog},
+		shrink:    opt.Shrink,
+		maxShrink: opt.MaxShrinkRuns,
+		wallClock: opt.WallClock,
 	}
-	res := DeviceChaosResult{Seed: seed, NCPUs: opt.NCPUs, Devices: opt.Devices}
-	scenarios := deviceScenarios
 	if opt.ExtraSpec != "" {
-		scenarios = append(append([]struct {
-			Name string
-			Spec string
-		}{}, deviceScenarios...), struct {
-			Name string
-			Spec string
-		}{"custom", opt.ExtraSpec})
+		c.scenarios = append(append([]scenario{}, deviceScenarios...), scenario{"custom", opt.ExtraSpec})
 	}
-	for i, sc := range scenarios {
-		fc, err := fault.ParseSpec(sc.Spec)
-		if err != nil {
-			return res, fmt.Errorf("experiments: device scenario %s: %w", sc.Name, err)
-		}
-		fc.Seed = seed + int64(i)*257
-		row := DeviceChaosRun{Scenario: sc.Name, Spec: sc.Spec}
-		if opt.PlantBug {
-			row.Bug = "skip-dev-inval"
-		}
-		var endStep uint64
-		obs := func(k *kernel.Kernel) {
-			if in.Observe != nil {
-				in.Observe(k)
-			}
-			endStep = k.Eng.StepCount()
-			row.Faults = k.M.Faults().Stats()
-			if k.Shoot != nil {
-				st := k.Shoot.Stats()
-				row.DevShootdowns = st.DevShootdowns
-				row.DevInvalsPosted = st.DevInvalsPosted
-				row.DevTimeouts = st.DevCompletionTimeouts
-				row.DevRerings = st.DevRerings
-				row.DevResets = st.DevResets
-				row.DevQuarantines = st.DevQuarantines
-				row.DevOfflineSkipped = st.DevOfflineSkipped
-			}
-			if k.Oracle != nil {
-				k.Oracle.Check()
-				ost := k.Oracle.Stats()
-				row.OracleDevUseChecks = ost.DevUseChecks
-				row.OracleGraceUses = ost.DevGraceUses
-				row.Violations = ost.Violations
-			}
-		}
-		cell := deviceCampaignCell(seed, opt, fc, nil, in.Flight)
-		verdict, detail, events := runFlightCell(cell, obs)
-		row.Verdict, row.Err = verdict, detail
-		if verdict != VerdictOK && opt.Shrink {
-			row.ScheduleLen = len(events)
-			base := deviceCampaignCell(seed, opt, fc, nil, nil)
-			rw := explore.NewRewinder(base, verdict, events, endStep)
-			if opt.WallClock != nil {
-				rw.SetWallClock(opt.WallClock)
-			}
-			r := rw.Minimize(opt.MaxShrinkRuns)
-			row.Shrunk = r.Keep
-			row.ShrinkTests = r.Tests
-			repro := explore.BuildRepro(base, verdict, events, r.Keep, r.Meta)
-			row.Repro = &repro
-		}
-		res.Runs = append(res.Runs, row)
-	}
-	return res, nil
+	runs, err := runCampaign(c, pick(ins), func(row *DeviceChaosRun, k *kernel.Kernel) {
+		st := k.Shoot.Stats()
+		row.DevShootdowns = st.DevShootdowns
+		row.DevInvalsPosted = st.DevInvalsPosted
+		row.DevTimeouts = st.DevCompletionTimeouts
+		row.DevRerings = st.DevRerings
+		row.DevResets = st.DevResets
+		row.DevQuarantines = st.DevQuarantines
+		row.DevOfflineSkipped = st.DevOfflineSkipped
+		ost := k.Oracle.Stats()
+		row.OracleDevUseChecks = ost.DevUseChecks
+		row.OracleGraceUses = ost.DevGraceUses
+	})
+	return DeviceChaosResult{Seed: seed, NCPUs: opt.NCPUs, Devices: opt.Devices, Runs: runs}, err
 }
 
 // Render prints the device campaign.
@@ -208,34 +124,11 @@ func (r DeviceChaosResult) Render() string {
 		r.NCPUs, r.Devices, r.Seed)
 	fmt.Fprintf(&b, "ladder: completion timeout %v -> re-ring (x%d) -> drain-and-reset -> quarantine\n\n",
 		campaignWatchdog.WatchdogTimeout.Duration(), campaignWatchdog.WatchdogMaxRetries)
-	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "scenario\tverdict\tposted\ttimeouts\tre-rings\tresets\tquarantines\tgrace uses\toracle viol\tshrunk\n")
-	for _, run := range r.Runs {
-		shrunk := "-"
-		if run.Verdict != VerdictOK && run.ScheduleLen > 0 {
-			shrunk = fmt.Sprintf("%d -> %d (%d runs)", run.ScheduleLen, len(run.Shrunk), run.ShrinkTests)
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			run.Scenario, run.Verdict, run.DevInvalsPosted, run.DevTimeouts,
-			run.DevRerings, run.DevResets, run.DevQuarantines,
-			run.OracleGraceUses, run.Violations, shrunk)
-	}
-	w.Flush()
-	for _, run := range r.Runs {
-		if run.Verdict == VerdictOK {
-			continue
-		}
-		fmt.Fprintf(&b, "\nFAIL %s (%s): %s\n", run.Scenario, run.Verdict, firstLine(run.Err))
-		if len(run.Shrunk) > 0 {
-			ids := make([]string, len(run.Shrunk))
-			for i, id := range run.Shrunk {
-				ids[i] = id.String()
-			}
-			fmt.Fprintf(&b, "  minimal schedule: %s\n", strings.Join(ids, " "))
-		}
-	}
-	if r.Failures() == 0 {
-		fmt.Fprintf(&b, "\nall %d scenarios survived: every shootdown completed despite stalled, deaf, and wedged devices, and no DMA ever used an acknowledged-dead translation\n", len(r.Runs))
-	}
+	renderCampaign(&b, r.Runs,
+		[]string{"posted", "timeouts", "re-rings", "resets", "quarantines", "grace uses"},
+		func(run *DeviceChaosRun) []any {
+			return []any{run.DevInvalsPosted, run.DevTimeouts, run.DevRerings, run.DevResets, run.DevQuarantines, run.OracleGraceUses}
+		},
+		"every shootdown completed despite stalled, deaf, and wedged devices, and no DMA ever used an acknowledged-dead translation")
 	return b.String()
 }

@@ -34,9 +34,10 @@ func deviceFlightCell(t *testing.T, dir string) (verdict string, box []byte) {
 	fc.Seed = 7
 	cell := explore.Cell{
 		Seed: 7, NCPUs: 4, Workload: "dma", Devices: 2,
-		Fault: fc, Shootdown: campaignWatchdog, Flight: fr,
+		Fault: fc, Shootdown: campaignWatchdog,
 	}
-	verdict, detail, _ := runFlightCell(cell, nil)
+	cell.Flight = fr
+	verdict, detail, _ := cell.Run(nil)
 	if verdict != VerdictOK {
 		t.Fatalf("wedged-device run did not survive: %s (%s)", verdict, detail)
 	}

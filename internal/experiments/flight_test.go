@@ -27,7 +27,9 @@ func flightCell(t *testing.T, dir string) (verdict string, box []byte, steps uin
 		t.Fatal(err)
 	}
 	fc.Seed = 7
-	verdict, _, _ = chaosCell(7, 4, fc, true, nil, fr, func(k *kernel.Kernel) { steps = k.Eng.StepCount() })
+	cell := campaignCell(7, 4, fc, true)
+	cell.Flight = fr
+	verdict, _, _ = cell.Run(func(k *kernel.Kernel) { steps = k.Eng.StepCount() })
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

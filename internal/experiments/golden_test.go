@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"shootdown/internal/kernel"
 	"shootdown/internal/machine"
 	"shootdown/internal/profile"
 	"shootdown/internal/trace"
@@ -138,6 +139,24 @@ func goldenPools(t *testing.T) goldenCell {
 	}}
 }
 
+// goldenCampaign pins one chaos campaign: its result JSON, its rendered
+// text, and the engine steps summed over the campaign runs it observed
+// (shrink re-executions are not observed). No wall clock is passed, so
+// the reproducers' wall_ms stays zero.
+func goldenCampaign[R interface{ Render() string }](campaign func(Instrument) (R, error)) func(*testing.T) goldenCell {
+	return func(t *testing.T) goldenCell {
+		var steps uint64
+		r, err := campaign(Instrument{Observe: func(k *kernel.Kernel) { steps += k.Eng.StepCount() }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return goldenCell{Steps: steps, Digests: map[string]string{
+			"result.json": sha(jsonBytes(t, r)),
+			"render.txt":  sha([]byte(r.Render())),
+		}}
+	}
+}
+
 // TestGoldenObservationPins reruns each pinned cell and compares its step
 // count and artifact digests with the committed manifest. Regenerate with
 // `go test ./internal/experiments -run GoldenObservationPins -update-golden`.
@@ -149,6 +168,18 @@ func TestGoldenObservationPins(t *testing.T) {
 		{"dma-observed", goldenDMA},
 		{"chaos-blackbox", goldenBlackBox},
 		{"pools-traced", goldenPools},
+		{"chaos", goldenCampaign(func(in Instrument) (ChaosResult, error) {
+			return ChaosCampaign(7, ChaosOptions{}, in)
+		})},
+		{"chaos-bug-shrink", goldenCampaign(func(in Instrument) (ChaosResult, error) {
+			return ChaosCampaign(7, ChaosOptions{PlantBug: true, Shrink: true}, in)
+		})},
+		{"devices", goldenCampaign(func(in Instrument) (DeviceChaosResult, error) {
+			return DeviceChaosCampaign(7, DeviceChaosOptions{}, in)
+		})},
+		{"devices-bug-shrink", goldenCampaign(func(in Instrument) (DeviceChaosResult, error) {
+			return DeviceChaosCampaign(7, DeviceChaosOptions{PlantBug: true, Shrink: true}, in)
+		})},
 	}
 	want := map[string]goldenCell{}
 	if !*updateGolden {

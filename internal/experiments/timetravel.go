@@ -51,7 +51,7 @@ func TimeTravel(seed int64, at sim.Time, ncpus int) (TimeTravelResult, error) {
 		return res, err
 	}
 	fc.Seed = seed + 257
-	cell := campaignCell(seed, ncpus, fc, false, nil, nil)
+	cell := campaignCell(seed, ncpus, fc, false)
 
 	// Scout: drive a throwaway world by virtual time to learn which event
 	// step the requested instant lands on. (The engine's cursor is steps,

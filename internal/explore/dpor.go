@@ -6,6 +6,7 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
+	"shootdown/internal/machine"
 	"shootdown/internal/sim"
 )
 
@@ -164,7 +165,7 @@ func Explore(cell Cell, opt Options) (Result, error) {
 			forced := append(append([]int(nil), basePicks[:i]...), p)
 			fc := cell
 			fc.Ties = forced
-			fc.Flight = nil
+			fc.Observers = machine.Observers{}
 			var endStep uint64
 			verdict, detail, events := fc.Run(func(kk *kernel.Kernel) {
 				endStep = kk.Eng.StepCount()

@@ -27,8 +27,8 @@ import (
 	"shootdown/internal/core"
 	"shootdown/internal/fault"
 	"shootdown/internal/kernel"
+	"shootdown/internal/machine"
 	"shootdown/internal/sim"
-	"shootdown/internal/trace"
 	"shootdown/internal/workload"
 )
 
@@ -84,9 +84,10 @@ type Cell struct {
 	// Ties forces the engine's chaos tie decisions by ordinal; the
 	// explorer's forks differ from the base run only here.
 	Ties []int
-	// Flight arms the flight recorder for the run; shrink and explorer
-	// re-executions pass nil so dozens of replays don't each dump a box.
-	Flight *trace.Recorder
+	// Observers attaches a tracer, profiler and flight recorder to the
+	// run; shrink and explorer re-executions leave it empty so dozens of
+	// replays don't each dump a box.
+	machine.Observers
 	// StopOnViolation stops the engine at the first oracle violation, the
 	// semantics the restore-to-prefix shrinker judges candidates under. A
 	// minimized reproducer must be replayed with this set: its schedule is
@@ -127,6 +128,8 @@ func (c Cell) app() workload.AppConfig {
 		MaxVirtualTime:     c.MaxVirtualTime,
 		Faults:             &fc,
 		ForcedTies:         c.Ties,
+		Tracer:             c.Tracer,
+		Profiler:           c.Profiler,
 		Flight:             c.Flight,
 	}
 }
@@ -143,6 +146,14 @@ func (c Cell) Start() (*kernel.Kernel, error) {
 	}
 }
 
+// flightSnapshotStep is the event step at which a flight-armed run pauses
+// for a whole-simulation snapshot, early enough to precede the failures
+// the campaigns plant. The snapshot is a pure read (the resumed run is
+// byte-identical to an uninterrupted one) and rides in the black box's
+// "snapshots" section, so every post-mortem artifact embeds a restore
+// point. A run that ends before this step carries none.
+const flightSnapshotStep = 2000
+
 // Run executes the cell to completion. obs, when non-nil, sees the
 // finished kernel before the verdict is returned (metrics harvesting).
 // The fired fault schedule is harvested unconditionally: failing runs are
@@ -155,7 +166,20 @@ func (c Cell) Run(obs func(*kernel.Kernel)) (verdict, detail string, events []fa
 	if c.StopOnViolation {
 		armStopOnViolation(k)
 	}
-	runErr := k.Run()
+	var runErr error
+	if c.Flight == nil {
+		runErr = k.Run()
+	} else if err := k.RunToStep(flightSnapshotStep); err != nil {
+		runErr = k.Finish(err)
+	} else if k.Eng.Stopped() || k.Eng.StepCount() < flightSnapshotStep {
+		// The run ended before the snapshot point; settle it directly.
+		runErr = k.Finish(nil)
+	} else {
+		if _, err := k.Snapshot(); err != nil {
+			return VerdictError, err.Error(), k.M.Faults().Events()
+		}
+		runErr = k.ContinueRun()
+	}
 	events = k.M.Faults().Events()
 	if obs != nil {
 		obs(k)

@@ -6,6 +6,7 @@ import (
 	"shootdown/internal/fault"
 	"shootdown/internal/fault/shrink"
 	"shootdown/internal/kernel"
+	"shootdown/internal/machine"
 	"shootdown/internal/oracle"
 	"shootdown/internal/snap"
 )
@@ -42,11 +43,11 @@ type Rewinder struct {
 
 // NewRewinder builds a shrink harness over one failing run: the cell that
 // produced it, the verdict to reproduce, the fired fault schedule, and
-// the engine step count at which the run ended. The cell's flight
-// recorder is stripped — re-executions must not dump black boxes.
+// the engine step count at which the run ended. The cell's observers are
+// stripped — re-executions must not trace or dump black boxes.
 func NewRewinder(cell Cell, verdict string, events []fault.Event, endStep uint64) *Rewinder {
 	cell = cell.withDefaults()
-	cell.Flight = nil
+	cell.Observers = machine.Observers{}
 	return &Rewinder{
 		cell:        cell,
 		baseVerdict: verdict,
@@ -226,7 +227,7 @@ func BuildRepro(c Cell, verdict string, events []fault.Event, keep []fault.Event
 		}
 		return cfg.Mask[i].Seq < cfg.Mask[j].Seq
 	})
-	r := shrink.Repro{
+	return shrink.Repro{
 		Version:  shrink.ReproVersion,
 		Workload: c.Workload,
 		Seed:     c.Seed,
@@ -237,12 +238,18 @@ func BuildRepro(c Cell, verdict string, events []fault.Event, keep []fault.Event
 		Verdict:  verdict,
 		Ties:     c.Ties,
 		Shrink:   meta,
+		Bug:      c.BugName(),
 	}
+}
+
+// BugName names the intentional bug the cell plants, as reproducers
+// record it: "skip-dev-inval", "skip-revive-flush", or "" for none.
+func (c Cell) BugName() string {
 	switch {
 	case c.DevBug:
-		r.Bug = "skip-dev-inval"
+		return "skip-dev-inval"
 	case c.Bug:
-		r.Bug = "skip-revive-flush"
+		return "skip-revive-flush"
 	}
-	return r
+	return ""
 }

@@ -45,9 +45,6 @@ type Config struct {
 	Quantum sim.Time
 	// IdleTick is the idle loop's poll period.
 	IdleTick sim.Time
-	// DevicePollTick is the device service loop's poll period — how often
-	// an idle device checks its doorbell (machines with devices only).
-	DevicePollTick sim.Time
 	// ChaosSeed randomizes equal-time scheduling order (0 = FIFO).
 	ChaosSeed int64
 	// ForcedTies overrides the engine's chaos tie decisions by ordinal
@@ -77,14 +74,15 @@ func (c Config) withDefaults() Config {
 	if c.IdleTick == 0 {
 		c.IdleTick = 50_000 // 50 µs
 	}
-	if c.DevicePollTick == 0 {
-		c.DevicePollTick = 20_000 // 20 µs
-	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 600_000_000_000 // 10 virtual minutes
 	}
 	return c
 }
+
+// devicePollTick is the device service loop's poll period: how often an
+// idle device checks its doorbell.
+const devicePollTick sim.Time = 20_000 // 20 µs
 
 // Kernel owns the simulated machine and all kernel state.
 type Kernel struct {
@@ -353,7 +351,7 @@ func (k *Kernel) Start() {
 		k.Eng.Spawn(fmt.Sprintf("devsvc%d", i), func(p *sim.Proc) {
 			for !k.stopping {
 				if !dev.ServiceOne(p) {
-					p.Sleep(k.cfg.DevicePollTick)
+					p.Sleep(devicePollTick)
 				}
 			}
 		})

@@ -15,7 +15,8 @@
 # explores a byte-identical set on a repeated run, time travel restores a
 # mid-run snapshot byte for byte, a seeded chaos failure auto-writes a
 # flight-recorder black box (whose embedded restore point round-trips
-# through validate), the device-chaos campaign is deterministic and a
+# through validate), so does a flight-armed replay of a committed
+# reproducer, the device-chaos campaign is deterministic and a
 # forced device quarantine dumps a black box whose devices section
 # validates, the host-cost artifact decoder survives a short fuzz run,
 # the host-cost attribution artifact validates and its heap-profile
@@ -117,6 +118,14 @@ for box in "$tmp/flight"/blackbox-*.json; do
 	go run ./cmd/tlbtrace validate -blackbox "$box"
 done
 go run ./cmd/tlbtrace query -cat shootdown "$tmp/flight"/blackbox-0-*.json >/dev/null
+
+echo "== smoke: a flight-armed reproducer replay dumps a black box carrying its restore point"
+go run ./cmd/shootdownsim -repro internal/experiments/testdata/corpus/hotplug-stale-revive.json -flight "$tmp/replayflight" >"$tmp/replay.txt"
+ls "$tmp/replayflight"/blackbox-*.json >/dev/null
+for box in "$tmp/replayflight"/blackbox-*.json; do
+	go run ./cmd/tlbtrace validate -blackbox "$box" >"$tmp/replaybox.txt"
+	grep -q 'restore point at step 2000' "$tmp/replaybox.txt"
+done
 
 echo "== hostcost: artifact decoder survives a short fuzz run"
 go test -run '^$' -fuzz '^FuzzParseReport$' -fuzztime 10s -parallel 2 ./internal/hostprof
