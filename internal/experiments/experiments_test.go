@@ -12,7 +12,8 @@ func TestFig2Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	r, err := Fig2(11, 3)
+	in, steps := stepCounter()
+	r, err := Fig2(11, 3, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +26,15 @@ func TestFig2Renders(t *testing.T) {
 	if r.Fit.Slope <= 0 {
 		t.Fatal("non-positive slope")
 	}
+	checkGolden(t, "fig2", goldenCell{Steps: *steps, Digests: map[string]string{"result.json": sha(jsonBytes(t, r))}})
 }
 
 func TestTable1Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow apps")
 	}
-	r, err := Table1(42)
+	in, steps := stepCounter()
+	r, err := Table1(42, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +45,15 @@ func TestTable1Renders(t *testing.T) {
 	if r.Mach[1].KernelEvents() <= r.Mach[0].KernelEvents() {
 		t.Error("lazy evaluation had no effect on the Mach build")
 	}
+	checkGolden(t, "table1", goldenCell{Steps: *steps, Digests: map[string]string{"result.json": sha(jsonBytes(t, r))}})
 }
 
 func TestTables234Render(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow apps")
 	}
-	r, err := Tables234(42)
+	in, steps := stepCounter()
+	r, err := Tables234(42, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +72,15 @@ func TestTables234Render(t *testing.T) {
 	if !strings.Contains(t2, "NM") {
 		t.Error("Table 2 should flag Agora's bimodal distribution as NM")
 	}
+	checkGolden(t, "tables234", goldenCell{Steps: *steps, Digests: map[string]string{"result.json": sha(jsonBytes(t, r))}})
 }
 
 func TestPerturbationRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	r, err := Perturbation(42)
+	in, steps := stepCounter()
+	r, err := Perturbation(42, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +95,15 @@ func TestPerturbationRenders(t *testing.T) {
 	if !strings.Contains(r.Render(), "perturbation") {
 		t.Error("render incomplete")
 	}
+	checkGolden(t, "perturbation", goldenCell{Steps: *steps, Digests: map[string]string{"result.json": sha(jsonBytes(t, r))}})
 }
 
 func TestScaleRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	r, err := Scale(11, 2)
+	in, steps := stepCounter()
+	r, err := Scale(11, 2, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +122,7 @@ func TestScaleRenders(t *testing.T) {
 	if !strings.Contains(r.Render(), "Scaling") {
 		t.Error("render incomplete")
 	}
+	checkGolden(t, "scale", goldenCell{Steps: *steps, Digests: map[string]string{"result.json": sha(jsonBytes(t, r))}})
 }
 
 func TestStrategyCompare(t *testing.T) {

@@ -181,56 +181,70 @@ func TestGoldenObservationPins(t *testing.T) {
 			return DeviceChaosCampaign(7, DeviceChaosOptions{PlantBug: true, Shrink: true}, in)
 		})},
 	}
-	want := map[string]goldenCell{}
-	if !*updateGolden {
-		raw, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update-golden)", err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) { checkGolden(t, c.name, c.run(t)) })
+	}
+}
+
+// stepCounter returns an instrument that sums the engine steps of every
+// kernel the experiment runs, for pinning an experiment inside the test
+// that already runs it.
+func stepCounter() (Instrument, *uint64) {
+	steps := new(uint64)
+	return Instrument{Observe: func(k *kernel.Kernel) { *steps += k.Eng.StepCount() }}, steps
+}
+
+// checkGolden compares cell g with the manifest's pin for name. Under
+// -update-golden it instead merges g into the manifest, leaving every
+// other cell as committed, so regenerating one cell never drops the
+// pins of tests that did not run.
+func checkGolden(t *testing.T, name string, g goldenCell) {
+	t.Helper()
+	manifest := map[string]goldenCell{}
+	raw, err := os.ReadFile(goldenPath)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &manifest); err != nil {
 			t.Fatal(err)
 		}
+	case !*updateGolden:
+		t.Fatalf("%v (regenerate with -update-golden)", err)
 	}
-	got := map[string]goldenCell{}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			g := c.run(t)
-			got[c.name] = g
-			if *updateGolden {
-				return
-			}
-			w, ok := want[c.name]
-			if !ok {
-				t.Fatalf("no pin for %s in %s", c.name, goldenPath)
-			}
-			if g.Steps != w.Steps {
-				t.Errorf("engine steps = %d, pinned %d: the runs diverged", g.Steps, w.Steps)
-			}
-			var names []string
-			for n := range w.Digests {
-				names = append(names, n)
-			}
-			for n := range g.Digests {
-				if _, ok := w.Digests[n]; !ok {
-					names = append(names, n)
-				}
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				if g.Digests[n] != w.Digests[n] {
-					t.Errorf("%s: got %q, pinned %q", n, g.Digests[n], w.Digests[n])
-				}
-			}
-		})
-	}
-	if *updateGolden && !t.Failed() {
-		raw, err := json.MarshalIndent(got, "", "  ")
+	if *updateGolden {
+		if t.Failed() {
+			return
+		}
+		manifest[name] = g
+		raw, err := json.MarshalIndent(manifest, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", goldenPath)
+		t.Logf("wrote %s to %s", name, goldenPath)
+		return
+	}
+	w, ok := manifest[name]
+	if !ok {
+		t.Fatalf("no pin for %s in %s", name, goldenPath)
+	}
+	if g.Steps != w.Steps {
+		t.Errorf("engine steps = %d, pinned %d: the runs diverged", g.Steps, w.Steps)
+	}
+	var names []string
+	for n := range w.Digests {
+		names = append(names, n)
+	}
+	for n := range g.Digests {
+		if _, ok := w.Digests[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if g.Digests[n] != w.Digests[n] {
+			t.Errorf("%s: got %q, pinned %q", n, g.Digests[n], w.Digests[n])
+		}
 	}
 }
