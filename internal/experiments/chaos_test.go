@@ -126,6 +126,78 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
+// TestTracedReplayBalancesSpans replays every committed reproducer with a
+// tracer attached. Each one fail-stops a processor mid-run, and every span
+// a CPU timeline opens must still be closed, innermost first, by the end.
+func TestTracedReplayBalancesSpans(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".json"), func(t *testing.T) {
+			tracedReplay(t, path)
+		})
+	}
+}
+
+// tracedReplay replays the reproducer at path with a tracer attached,
+// checks that every span it opened was closed, and returns the tracer
+// and the replay's engine steps.
+func tracedReplay(t *testing.T, path string) (*trace.Tracer, uint64) {
+	t.Helper()
+	r, err := shrink.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.New(1 << 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, steps := stepCounter()
+	in.Tracer = tr
+	if verdict, detail, err := ReplayRepro(r, in); err != nil {
+		t.Fatal(err)
+	} else if verdict != r.Verdict {
+		t.Fatalf("replay verdict %s (%s), recorded %s", verdict, detail, r.Verdict)
+	}
+	if tr.Dropped() > 0 {
+		t.Fatalf("trace ring dropped %d events; grow it", tr.Dropped())
+	}
+	checkSpansNest(t, tr.Events())
+	return tr, *steps
+}
+
+// checkSpansNest asserts that on every timeline each end event closes the
+// innermost open span, by name, and that no span is left open.
+func checkSpansNest(t *testing.T, events []trace.Event) {
+	t.Helper()
+	var open [][]string // per CPU timeline, innermost last
+	for _, ev := range events {
+		if ev.Ph == trace.PhaseInstant || ev.CPU < 0 {
+			continue
+		}
+		for int(ev.CPU) >= len(open) {
+			open = append(open, nil)
+		}
+		st := open[ev.CPU]
+		switch ev.Ph {
+		case trace.PhaseBegin:
+			open[ev.CPU] = append(st, ev.Name)
+		case trace.PhaseEnd:
+			if len(st) == 0 || st[len(st)-1] != ev.Name {
+				t.Fatalf("cpu%d at %dns: end %q, open spans %q", ev.CPU, ev.TS, ev.Name, st)
+			}
+			open[ev.CPU] = st[:len(st)-1]
+		}
+	}
+	for cpu, st := range open {
+		if len(st) > 0 {
+			t.Errorf("cpu%d: spans %q left open", cpu, st)
+		}
+	}
+}
+
 // A reproducer replayed with a flight recorder runs through Cell.Run's
 // flight-armed path: the black box its violation trips carries the mid-run
 // restore point, and the replay reaches its recorded verdict unchanged.

@@ -109,6 +109,15 @@ func goldenBlackBox(t *testing.T) goldenCell {
 	}}
 }
 
+// goldenHotplug is a traced replay of the hot-plug reproducer: a CPU
+// fail-stops mid-run and revives, and the trace must still balance.
+func goldenHotplug(t *testing.T) goldenCell {
+	tr, steps := tracedReplay(t, filepath.Join("testdata", "corpus", "hotplug-stale-revive.json"))
+	return goldenCell{Steps: steps, Digests: map[string]string{
+		"trace.json": sha(render(t, tr.WriteChromeTrace)),
+	}}
+}
+
 // goldenPools runs the pools experiment traced and profiled. Pools builds
 // bare machines with no kernel to ask, so its step count is read from
 // the trace: the engine logs one "run" instant per step.
@@ -168,6 +177,7 @@ func TestGoldenObservationPins(t *testing.T) {
 		{"dma-observed", goldenDMA},
 		{"chaos-blackbox", goldenBlackBox},
 		{"pools-traced", goldenPools},
+		{"hotplug-traced", goldenHotplug},
 		{"chaos", goldenCampaign(func(in Instrument) (ChaosResult, error) {
 			return ChaosCampaign(7, ChaosOptions{}, in)
 		})},

@@ -405,24 +405,16 @@ func (k *Kernel) Finish(err error) error {
 }
 
 // closeOpenSpans balances the per-CPU trace timelines after the engine
-// stops: Eng.Stop halts everything the instant the last thread exits, so
-// idle loops (and, on a time-bounded run, dispatched threads) never emit
-// their closing events. Chrome-trace consumers require balanced spans.
+// stops: Eng.Stop halts everything the instant the last thread exits (or
+// a violation stops a replay), so idle loops, dispatched threads and any
+// interrupt or shootdown in flight never emit their closing events.
+// Chrome-trace consumers require balanced spans. The tracer knows which
+// spans each timeline has open; k.current does not (the idle loop ends
+// "idle" well before it begins "thread-run").
 func (k *Kernel) closeOpenSpans() {
 	tr := k.M.Observers().Tracer
-	if tr == nil {
-		return
-	}
-	now := int64(k.Eng.Now())
 	for cpu := 0; cpu < k.M.NumCPUs(); cpu++ {
-		if !k.M.CPU(cpu).Online() {
-			continue // a failed CPU's spans were closed at fail time
-		}
-		if k.current[cpu] != nil {
-			tr.End(now, cpu, trace.CatKernel, "thread-run")
-		} else {
-			tr.End(now, cpu, trace.CatKernel, "idle")
-		}
+		tr.EndOpen(int64(k.Eng.Now()), cpu)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"shootdown/internal/sim"
-	"shootdown/internal/trace"
 )
 
 // This file is the software half of processor fail-stop and hot-plug: the
@@ -59,8 +58,6 @@ func (k *Kernel) failCPU(cpu int) {
 	if !k.M.FailCPU(cpu) {
 		return
 	}
-	now := int64(k.Eng.Now())
-	tr := k.M.Observers().Tracer
 	// The idle proc is either attached and spinning (machine.FailCPU
 	// already halted it) or parked while a thread holds the CPU; Kill is
 	// idempotent either way.
@@ -81,11 +78,11 @@ func (k *Kernel) failCPU(cpu int) {
 		}
 		t.joiners = nil
 		k.current[cpu] = nil
-		tr.End(now, cpu, trace.CatKernel, "thread-run")
 		k.threadExited(t)
-	} else {
-		tr.End(now, cpu, trace.CatKernel, "idle")
 	}
+	// Close whatever the CPU's timeline had open when it halted: its idle
+	// or thread-run span and any interrupt or shootdown nested inside.
+	k.M.Observers().Tracer.EndOpen(int64(k.Eng.Now()), cpu)
 	k.Pmaps.OnCPUFail(cpu)
 	k.Oracle.OnCPUFail(cpu)
 }

@@ -127,6 +127,16 @@ type Tracer struct {
 	maxTS int64 // largest rebased timestamp recorded so far
 
 	procNames map[int32]string
+
+	// open holds each CPU timeline's open spans, innermost last, so a
+	// timeline that stops mid-span can be closed exactly (EndOpen).
+	open [][]openSpan
+}
+
+// openSpan is one span a CPU timeline has begun and not yet ended.
+type openSpan struct {
+	cat  Category
+	name string
 }
 
 // New creates a tracer holding up to size records, initially enabled with
@@ -204,6 +214,9 @@ func (t *Tracer) Rebase(label string) {
 		return
 	}
 	t.base = t.maxTS
+	for cpu := range t.open {
+		t.open[cpu] = t.open[cpu][:0]
+	}
 	t.log(Event{TS: t.base, CPU: -1, Cat: CatMeta, Ph: PhaseInstant, Name: label})
 }
 
@@ -221,6 +234,12 @@ func (t *Tracer) Begin(ts int64, cpu int, cat Category, name string, a1, a2 int6
 	if t == nil || !t.enabled || t.disabled[cat] {
 		return
 	}
+	if cpu >= 0 {
+		for len(t.open) <= cpu {
+			t.open = append(t.open, nil)
+		}
+		t.open[cpu] = append(t.open[cpu], openSpan{cat, name})
+	}
 	t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: cat, Ph: PhaseBegin, Name: name, Arg1: a1, Arg2: a2})
 }
 
@@ -229,7 +248,24 @@ func (t *Tracer) End(ts int64, cpu int, cat Category, name string) {
 	if t == nil || !t.enabled || t.disabled[cat] {
 		return
 	}
+	if cpu >= 0 && cpu < len(t.open) && len(t.open[cpu]) > 0 {
+		t.open[cpu] = t.open[cpu][:len(t.open[cpu])-1]
+	}
 	t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: cat, Ph: PhaseEnd, Name: name})
+}
+
+// EndOpen closes every span still open on the cpu timeline, innermost
+// first, at ts. It is for timelines that stop mid-span: a processor that
+// fail-stops, or a run that ends while a CPU is inside an interrupt.
+func (t *Tracer) EndOpen(ts int64, cpu int) {
+	if t == nil || !t.enabled || cpu < 0 || cpu >= len(t.open) {
+		return
+	}
+	for st := t.open[cpu]; len(st) > 0; st = st[:len(st)-1] {
+		s := st[len(st)-1]
+		t.log(Event{TS: ts + t.base, CPU: int32(cpu), Cat: s.cat, Ph: PhaseEnd, Name: s.name})
+	}
+	t.open[cpu] = t.open[cpu][:0]
 }
 
 // Instant records a point event.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -87,6 +88,34 @@ func TestRebaseKeepsTimestampsMonotonic(t *testing.T) {
 	metas := tr.Select(CatMeta)
 	if len(metas) != 1 || metas[0].Name != "run2" {
 		t.Fatalf("meta markers = %+v, want one named run2", metas)
+	}
+}
+
+// EndOpen closes exactly the spans a timeline has open, innermost first,
+// and leaves other timelines alone; Rebase starts every timeline empty.
+func TestEndOpenClosesInnermostFirst(t *testing.T) {
+	tr := mustNew(t, 16)
+	tr.Begin(1, 2, CatKernel, "thread-run", 0, 0)
+	tr.Begin(2, 2, CatMachine, "irq-ipi", 0, 0)
+	tr.Begin(3, 2, CatShootdown, "shootdown-wait", 0, 0)
+	tr.End(4, 2, CatShootdown, "shootdown-wait")
+	tr.Begin(5, 1, CatKernel, "idle", 0, 0)
+	tr.EndOpen(9, 2)
+	tr.EndOpen(9, 2) // nothing left open: a no-op
+	tr.EndOpen(9, 7) // a timeline that never began a span
+	var got []string
+	for _, ev := range tr.Events()[4:] {
+		got = append(got, fmt.Sprintf("%d %d %s %s", ev.TS, ev.CPU, ev.Ph, ev.Name))
+	}
+	want := []string{"5 1 B idle", "9 2 E irq-ipi", "9 2 E thread-run"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events after the fourth = %q, want %q", got, want)
+	}
+	tr.Rebase("next")
+	n := tr.Len()
+	tr.EndOpen(0, 1)
+	if tr.Len() != n {
+		t.Fatalf("EndOpen after Rebase closed a span of the previous run")
 	}
 }
 

@@ -16,7 +16,8 @@
 # mid-run snapshot byte for byte, a seeded chaos failure auto-writes a
 # flight-recorder black box (whose embedded restore point round-trips
 # through validate), so does a flight-armed replay of a committed
-# reproducer, the device-chaos campaign is deterministic and a
+# reproducer, a traced replay of one (a CPU fail-stops and revives
+# mid-run) writes balanced spans, the device-chaos campaign is deterministic and a
 # forced device quarantine dumps a black box whose devices section
 # validates, the host-cost artifact decoder survives a short fuzz run,
 # the host-cost attribution artifact validates and its heap-profile
@@ -126,6 +127,10 @@ for box in "$tmp/replayflight"/blackbox-*.json; do
 	go run ./cmd/tlbtrace validate -blackbox "$box" >"$tmp/replaybox.txt"
 	grep -q 'restore point at step 2000' "$tmp/replaybox.txt"
 done
+
+echo "== smoke: a traced reproducer replay, with a CPU fail-stopped and revived mid-run, writes balanced spans"
+go run ./cmd/shootdownsim -repro internal/experiments/testdata/corpus/hotplug-stale-revive.json -trace "$tmp/replaytrace.json" >/dev/null 2>&1
+go run ./cmd/tlbtrace validate "$tmp/replaytrace.json"
 
 echo "== hostcost: artifact decoder survives a short fuzz run"
 go test -run '^$' -fuzz '^FuzzParseReport$' -fuzztime 10s -parallel 2 ./internal/hostprof
