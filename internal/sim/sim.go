@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation engine with one
-// goroutine per simulated execution context ("proc").
+// coroutine per simulated execution context ("proc").
 //
 // Exactly one proc runs at a time; the engine resumes whichever sleeping proc
 // has the smallest virtual clock, so execution is serialized in virtual-time
@@ -16,13 +16,13 @@ package sim
 
 import (
 	"bytes"
-	"container/heap"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,22 +74,15 @@ func (s State) String() string {
 	}
 }
 
+// yieldKind is why a proc's coroutine handed control back to the engine.
 type yieldKind int
 
 const (
 	yieldSleep yieldKind = iota
 	yieldBlock
-	yieldDone
-	yieldPanic
 )
 
-type yieldMsg struct {
-	p    *Proc
-	kind yieldKind
-	err  error
-}
-
-// Proc is a simulated execution context backed by a goroutine.
+// Proc is a simulated execution context backed by a coroutine.
 type Proc struct {
 	eng   *Engine
 	name  string
@@ -108,7 +101,13 @@ type Proc struct {
 	waitReason string
 	waitOn     []*Proc
 
-	resume chan struct{}
+	// next switches into the proc's coroutine and returns at its next
+	// yield point; ok is false once the body has returned or panicked
+	// (see start). yield, called only from inside the coroutine, switches
+	// back to the engine.
+	next  func() (yieldKind, bool)
+	yield func(yieldKind) bool
+	err   error // the body's panic, once it has panicked
 
 	// Tag is arbitrary user data (e.g. the kernel thread running here).
 	Tag interface{}
@@ -133,9 +132,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 type Engine struct {
 	now     Time
 	procs   []*Proc
-	runq    runHeap       //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
-	cur     *Proc         //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
-	yield   chan yieldMsg //snap:transient host-side goroutine handshake plumbing, recreated by Run
+	runq    runHeap //snap:derived rebuilt from the serialized proc states (sleeping procs re-keyed by wake time)
+	cur     *Proc   //snap:transient the resumption in progress; snapshots are taken at serialized points between steps
+	tied    []*Proc //snap:transient pop's scratch buffer for a chaos tie set, meaningless between steps
 	nextID  int
 	nextSeq uint64
 	stopped bool       //snap:transient stop latch; a restored world restarts from Run
@@ -199,7 +198,7 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 
 // New creates an engine at virtual time zero.
 func New(opts ...Option) *Engine {
-	e := &Engine{yield: make(chan yieldMsg)}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
@@ -213,7 +212,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Current() *Proc { return e.cur }
 
 // Spawn creates a proc that will first run at the current virtual time.
-// fn executes on its own goroutine; when fn returns the proc is done.
+// fn executes as the proc's coroutine; when fn returns the proc is done.
 // Spawn may be called before Run or from inside a running proc.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
@@ -223,26 +222,25 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		clock:   e.now,
 		state:   StateNew,
 		heapIdx: -1,
-		resume:  make(chan struct{}),
 	}
 	e.nextID++
 	e.procs = append(e.procs, p)
 	e.tracer.NameProc(p.id, name)
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "spawn", 0, 0)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				e.yield <- yieldMsg{p: p, kind: yieldPanic,
-					err: fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())}
-				return
-			}
-			e.yield <- yieldMsg{p: p, kind: yieldDone}
-		}()
-		fn(p)
-	}()
+	p.start(fn)
 	e.schedule(p, e.now)
 	return p
+}
+
+// body runs fn as the proc's body, recording a panic in p.err instead of
+// letting it unwind into the engine.
+func (p *Proc) body(fn func(*Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+		}
+	}()
+	fn(p)
 }
 
 func (e *Engine) schedule(p *Proc, at Time) {
@@ -252,7 +250,7 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	if p.state != StateNew {
 		p.state = StateSleeping
 	}
-	heap.Push(&e.runq, p)
+	e.runq.push(p)
 }
 
 // Run executes procs in virtual-time order until all are done, Stop is
@@ -307,23 +305,21 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 		p.state = StateRunning
 		e.cur = p
 		e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "run", 0, 0)
-		p.resume <- struct{}{}
-		msg := <-e.yield
+		kind, running := p.next()
 		e.cur = nil
 		e.step++
-		switch msg.kind {
-		case yieldSleep:
-			// schedule() was already performed by Sleep.
-		case yieldBlock:
-			p.state = StateBlocked
-		case yieldDone:
+		switch {
+		case !running && p.err != nil:
+			p.state = StateDone
+			e.failure = p.err
+			return p.err
+		case !running:
 			p.state = StateDone
 			e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "done", 0, 0)
-		case yieldPanic:
-			p.state = StateDone
-			e.failure = msg.err
-			return msg.err
+		case kind == yieldBlock:
+			p.state = StateBlocked
 		}
+		// yieldSleep: Sleep already rescheduled the proc.
 	}
 	if e.stopped {
 		return nil
@@ -333,7 +329,7 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 		for i, p := range blocked {
 			names[i] = p.name
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		return fmt.Errorf("%w: %v\n%s", ErrDeadlock, names, e.WaitGraph())
 	}
 	return nil
@@ -343,20 +339,22 @@ func (e *Engine) run(limit Time, stepLimit uint64, stepBounded bool) error {
 // among procs with identical wake times.
 func (e *Engine) pop() *Proc {
 	if e.chaos == nil || len(e.runq) < 2 {
-		return heap.Pop(&e.runq).(*Proc)
+		return e.runq.remove(0)
 	}
 	// Collect all procs tied at the minimum wake time and pick one at random.
 	minWake := e.runq[0].wake
-	var tied []*Proc
+	tied := e.tied[:0]
 	for _, p := range e.runq {
 		if p.wake == minWake {
 			tied = append(tied, p)
 		}
 	}
+	e.tied = tied
 	if len(tied) == 1 {
-		return heap.Pop(&e.runq).(*Proc)
+		return e.runq.remove(0)
 	}
-	sort.Slice(tied, func(i, j int) bool { return tied[i].seq < tied[j].seq })
+	// Heap layout never reaches a decision: the tied set is ordered by seq.
+	slices.SortFunc(tied, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
 	// The chaos draw is consumed even when a forced choice overrides it, so
 	// the schedule after a forced prefix continues the base run's stream:
 	// replaying with every recorded pick forced reproduces the base run
@@ -379,9 +377,7 @@ func (e *Engine) pop() *Proc {
 		}
 		e.tieRec(d)
 	}
-	pick := tied[idx]
-	heap.Remove(&e.runq, pick.heapIdx)
-	return pick
+	return e.runq.remove(tied[idx].heapIdx)
 }
 
 // TieDecision records one chaos tie break: at engine step Step (time
@@ -444,11 +440,11 @@ func (e *Engine) LiveProcs() []*Proc {
 // StateHalted and never runs again. Unlike a panic or return, nothing
 // unwinds — deferred calls do not run, so any simulated locks the proc
 // holds stay held (exactly the hazard a fail-stopped processor creates;
-// recovery is the survivors' problem). The backing goroutine stays parked
-// on its resume channel for the life of the process, which is fine for a
+// recovery is the survivors' problem). The proc's coroutine stays suspended
+// at its last yield point for the life of the process, which is fine for a
 // bounded simulation. The currently running proc cannot kill itself this
-// way (it would deadlock the engine handshake); killing a done or halted
-// proc is a no-op. Returns whether the proc was halted.
+// way (it has not yielded, so there is no point to halt it at); killing a
+// done or halted proc is a no-op. Returns whether the proc was halted.
 func (e *Engine) Kill(p *Proc) bool {
 	switch p.state {
 	case StateDone, StateHalted:
@@ -457,7 +453,7 @@ func (e *Engine) Kill(p *Proc) bool {
 		panic(fmt.Sprintf("sim: Kill called on running proc %q; a proc cannot fail-stop itself", p.name))
 	}
 	if p.heapIdx >= 0 {
-		heap.Remove(&e.runq, p.heapIdx)
+		e.runq.remove(p.heapIdx)
 	}
 	p.state = StateHalted
 	p.ClearWaiting()
@@ -484,8 +480,7 @@ func (p *Proc) Sleep(d Time) Time {
 	p.preempted = false
 	p.eng.tracer.Instant(int64(start), p.id, trace.CatSim, "sleep", int64(d), 0)
 	p.eng.schedule(p, start+d)
-	p.eng.yield <- yieldMsg{p: p, kind: yieldSleep}
-	<-p.resume
+	p.yield(yieldSleep)
 	return p.clock - start
 }
 
@@ -493,8 +488,7 @@ func (p *Proc) Sleep(d Time) Time {
 func (p *Proc) Block() {
 	p.mustBeCurrent("Block")
 	p.eng.tracer.Instant(int64(p.clock), p.id, trace.CatSim, "block", 0, 0)
-	p.eng.yield <- yieldMsg{p: p, kind: yieldBlock}
-	<-p.resume
+	p.yield(yieldBlock)
 }
 
 // SetWaiting annotates the proc with a human-readable reason — and,
@@ -603,7 +597,7 @@ func (e *Engine) Snapshot() EngineSnap {
 }
 
 // Restore completes a replay-based restore of the engine to snapshot s.
-// Goroutine stacks cannot be captured, so restoring is rebuilding: the
+// Coroutine stacks cannot be captured, so restoring is rebuilding: the
 // caller constructs a fresh world from the same configuration, replays it
 // to s.Step (RunUntilStep), and then calls Restore, which verifies that
 // the replay landed on exactly the snapshotted state — event cursor,
@@ -740,39 +734,88 @@ func (e *Engine) Preempt(p *Proc, at Time) bool {
 	p.wake = at
 	p.preempted = true
 	e.tracer.Instant(int64(e.now), p.id, trace.CatSim, "preempt", int64(at), 0)
-	heap.Fix(&e.runq, p.heapIdx)
+	e.runq.up(p.heapIdx)
 	return true
 }
 
 // Preempted reports whether the proc's last Sleep was cut short by Preempt.
 func (p *Proc) Preempted() bool { return p.preempted }
 
-// runHeap is a min-heap on (wake, seq).
+// runHeap is a 4-ary min-heap of procs keyed on (wake, seq). The key is a
+// strict total order (seq is unique), so every correct heap pops procs in
+// the same order; the 4-ary layout only makes the tree shallower. Each
+// proc's heapIdx tracks its slot.
 type runHeap []*Proc
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	if h[i].wake != h[j].wake {
-		return h[i].wake < h[j].wake
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a runs before b.
+func before(a, b *Proc) bool {
+	return a.wake < b.wake || a.wake == b.wake && a.seq < b.seq
 }
-func (h runHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *runHeap) Push(x interface{}) {
-	p := x.(*Proc)
-	p.heapIdx = len(*h)
+
+func (h *runHeap) push(p *Proc) {
 	*h = append(*h, p)
+	h.up(len(*h) - 1)
 }
-func (h *runHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
+
+// remove takes the proc at slot i out of the heap and returns it.
+func (h *runHeap) remove(i int) *Proc {
+	q := *h
+	p := q[i]
+	last := len(q) - 1
+	q[i] = q[last]
+	q[last] = nil
+	*h = q[:last]
+	if i < last {
+		q[i].heapIdx = i
+		if !h.up(i) {
+			h.down(i)
+		}
+	}
 	p.heapIdx = -1
-	*h = old[:n-1]
 	return p
+}
+
+// up moves the proc at slot i toward the root until its parent runs
+// before it, and reports whether it moved. Preempt calls it directly: an
+// earlier wake time can only move a proc up.
+func (h runHeap) up(i int) bool {
+	p, start := h[i], i
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(p, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].heapIdx = i
+		i = parent
+	}
+	h[i] = p
+	p.heapIdx = i
+	return i != start
+}
+
+// down moves the proc at slot i away from the root until it runs before
+// all of its children.
+func (h runHeap) down(i int) {
+	p, n := h[i], len(h)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if before(h[c], h[min]) {
+				min = c
+			}
+		}
+		if !before(h[min], p) {
+			break
+		}
+		h[i] = h[min]
+		h[i].heapIdx = i
+		i = min
+	}
+	h[i] = p
+	p.heapIdx = i
 }
