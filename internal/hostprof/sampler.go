@@ -29,9 +29,20 @@ type Sampler struct {
 	cpuFile    *os.File
 }
 
-// NewSampler returns an empty sampler. Host-side code only: the
-// simdeterminism analyzer flags this call inside simulated packages.
-func NewSampler() *Sampler { return &Sampler{} }
+// sampleRate is the heap-profile sampling interval, in bytes, that a
+// Sampler reads its phases at. At the runtime's default of 512 KiB a
+// phase that allocates a few tens of MB holds only ~100 samples, and
+// their scaled-up estimate swings by ±10% from run to run; at 4 KiB it
+// holds thousands.
+const sampleRate = 4 << 10
+
+// NewSampler returns an empty sampler and switches the process's heap
+// profile to sampleRate. Host-side code only: the simdeterminism analyzer
+// flags this call inside simulated packages.
+func NewSampler() *Sampler {
+	runtime.MemProfileRate = sampleRate
+	return &Sampler{}
+}
 
 // Phase runs fn under the pprof label phase=<name> and records its wall
 // seconds, allocator deltas, and the allocations the heap profile charges
@@ -39,7 +50,7 @@ func NewSampler() *Sampler { return &Sampler{} }
 // and is returned; the phase is still recorded so partial runs stay
 // attributable.
 //
-// The profile is read at the runtime's default sampling rate: a forced
+// The profile is read at sampleRate (see NewSampler): a forced
 // collection on each side of fn publishes every allocation made so far,
 // and the diff of the two cumulative snapshots is scaled back up by the
 // rate (see attribute). Each snapshot's own buffer lands outside the

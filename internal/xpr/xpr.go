@@ -58,11 +58,13 @@ func (e Event) Initiator() (kernel bool, pages, processors int, elapsed sim.Time
 // Responder decodes an EvResponder record.
 func (e Event) Responder() (elapsed sim.Time) { return sim.Time(e.Args[0]) }
 
-// Buffer is a circular trace buffer.
+// Buffer is a circular trace buffer. Its storage grows by append as
+// records arrive, up to size; only then does it wrap, overwriting the
+// oldest record at next.
 type Buffer struct {
 	events  []Event
+	size    int
 	next    int
-	count   int
 	wrapped bool
 	dropped uint64
 	enabled bool
@@ -74,11 +76,13 @@ type Buffer struct {
 }
 
 // New creates a buffer holding up to size records, initially enabled.
+// No record storage is allocated until records are logged, so a generous
+// size costs a world that logs little almost nothing.
 func New(size int) *Buffer {
 	if size <= 0 {
 		panic(fmt.Sprintf("xpr: invalid buffer size %d", size))
 	}
-	return &Buffer{events: make([]Event, size), enabled: true}
+	return &Buffer{size: size, enabled: true}
 }
 
 // On enables recording.
@@ -90,9 +94,11 @@ func (b *Buffer) Off() { b.enabled = false }
 // Enabled reports whether the buffer is recording.
 func (b *Buffer) Enabled() bool { return b.enabled }
 
-// Reset discards all records (and keeps the enabled state).
+// Reset discards all records (and keeps the enabled state). The storage
+// already grown is reused by the records that follow.
 func (b *Buffer) Reset() {
-	b.next, b.count, b.wrapped, b.dropped = 0, 0, false, 0
+	b.events = b.events[:0]
+	b.next, b.wrapped, b.dropped = 0, false, 0
 }
 
 // Wrapped reports whether records have been lost to wraparound.
@@ -104,7 +110,7 @@ func (b *Buffer) Wrapped() bool { return b.wrapped }
 func (b *Buffer) Dropped() uint64 { return b.dropped }
 
 // Len returns the number of records currently held.
-func (b *Buffer) Len() int { return b.count }
+func (b *Buffer) Len() int { return len(b.events) }
 
 // Log appends a record if recording is enabled. EvResponder records are
 // dropped for CPUs outside SampleCPUs when sampling is configured.
@@ -115,14 +121,14 @@ func (b *Buffer) Log(ev Event) {
 	if ev.ID == EvResponder && b.SampleCPUs != nil && !b.SampleCPUs[ev.CPU] {
 		return
 	}
-	b.events[b.next] = ev
-	b.next = (b.next + 1) % len(b.events)
-	if b.count < len(b.events) {
-		b.count++
-	} else {
-		b.wrapped = true
-		b.dropped++
+	if len(b.events) < b.size {
+		b.events = append(b.events, ev)
+		return
 	}
+	b.events[b.next] = ev
+	b.next = (b.next + 1) % b.size
+	b.wrapped = true
+	b.dropped++
 }
 
 // LogInitiator records one initiator-side shootdown.
@@ -140,16 +146,12 @@ func (b *Buffer) LogResponder(t sim.Time, cpu int, elapsed sim.Time) {
 	b.Log(Event{Time: t, CPU: cpu, ID: EvResponder, Args: [4]int64{int64(elapsed)}})
 }
 
-// Events returns the records in arrival order.
+// Events returns the records in arrival order: oldest first, starting at
+// next (which stays 0 until the ring wraps).
 func (b *Buffer) Events() []Event {
-	out := make([]Event, 0, b.count)
-	if b.wrapped {
-		out = append(out, b.events[b.next:]...)
-		out = append(out, b.events[:b.next]...)
-	} else {
-		out = append(out, b.events[:b.count]...)
-	}
-	return out
+	out := make([]Event, 0, len(b.events))
+	out = append(out, b.events[b.next:]...)
+	return append(out, b.events[:b.next]...)
 }
 
 // Select returns the records with the given ID, in arrival order.

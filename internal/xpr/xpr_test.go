@@ -1,6 +1,7 @@
 package xpr
 
 import (
+	"fmt"
 	"testing"
 
 	"shootdown/internal/sim"
@@ -259,4 +260,79 @@ func TestEventIDString(t *testing.T) {
 			t.Fatal("empty EventID string")
 		}
 	}
+}
+
+// ringStep is one step of a lazy-ring walk: an action, then the exact
+// state it must leave. stored is the number of record slots the ring has
+// grown to (it never preallocates), times the surviving records' times
+// oldest first.
+type ringStep struct {
+	name    string
+	do      func(b *Buffer)
+	stored  int
+	times   []sim.Time
+	dropped uint64
+}
+
+// logAt logs one responder record per time on the given CPU.
+func logAt(cpu int, times ...sim.Time) func(*Buffer) {
+	return func(b *Buffer) {
+		for _, at := range times {
+			b.LogResponder(at, cpu, 10)
+		}
+	}
+}
+
+func runRingSteps(t *testing.T, b *Buffer, steps []ringStep) {
+	t.Helper()
+	for _, st := range steps {
+		st.do(b)
+		if len(b.events) != st.stored {
+			t.Fatalf("%s: ring grown to %d slots, want %d", st.name, len(b.events), st.stored)
+		}
+		if b.Len() != len(st.times) {
+			t.Fatalf("%s: Len = %d, want %d", st.name, b.Len(), len(st.times))
+		}
+		var got []sim.Time
+		for _, ev := range b.Events() {
+			got = append(got, ev.Time)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(st.times) {
+			t.Fatalf("%s: Events times = %v, want %v", st.name, got, st.times)
+		}
+		if b.Dropped() != st.dropped || b.Wrapped() != (st.dropped > 0) {
+			t.Fatalf("%s: Dropped = %d Wrapped = %v, want %d dropped", st.name, b.Dropped(), b.Wrapped(), st.dropped)
+		}
+	}
+}
+
+// TestLazyRingSteps walks one ring through growth below capacity, the
+// first wrap, drop counting at capacity, and Reset after growth followed
+// by a refill.
+func TestLazyRingSteps(t *testing.T) {
+	runRingSteps(t, New(4), []ringStep{
+		{"new", func(*Buffer) {}, 0, nil, 0},
+		{"grow to 2", logAt(0, 0, 1), 2, []sim.Time{0, 1}, 0},
+		{"grow to capacity", logAt(0, 2, 3), 4, []sim.Time{0, 1, 2, 3}, 0},
+		{"first wrap overwrites the oldest", logAt(0, 4), 4, []sim.Time{1, 2, 3, 4}, 1},
+		{"each overwrite is one drop", logAt(0, 5, 6, 7, 8, 9), 4, []sim.Time{6, 7, 8, 9}, 6},
+		{"reset", (*Buffer).Reset, 0, nil, 0},
+		{"refill below capacity", logAt(0, 10, 11, 12), 3, []sim.Time{10, 11, 12}, 0},
+		{"wrap after refill", logAt(0, 13, 14), 4, []sim.Time{11, 12, 13, 14}, 1},
+		{"off: nothing stored", func(b *Buffer) { b.Off(); logAt(0, 15)(b); b.On() }, 4, []sim.Time{11, 12, 13, 14}, 1},
+	})
+}
+
+// TestLazyRingSampling checks that responder records from unsampled CPUs
+// take no slot, while initiator records from any CPU do.
+func TestLazyRingSampling(t *testing.T) {
+	b := New(3)
+	b.SampleCPUs = map[int]bool{1: true}
+	runRingSteps(t, b, []ringStep{
+		{"unsampled responder", logAt(0, 0), 0, nil, 0},
+		{"sampled responder", logAt(1, 1), 1, []sim.Time{1}, 0},
+		{"initiator on an unsampled CPU", func(b *Buffer) { b.LogInitiator(2, 0, true, 1, 1, 5) }, 2, []sim.Time{1, 2}, 0},
+		{"mixed responders to capacity", logAt(2, 3, 4), 2, []sim.Time{1, 2}, 0},
+		{"sampled responders wrap", logAt(1, 5, 6), 3, []sim.Time{2, 5, 6}, 1},
+	})
 }
