@@ -1,13 +1,16 @@
 // Package simconcurrency forbids real Go concurrency in simulated
 // packages. The discrete-event engine in internal/sim owns all
-// concurrency: it multiplexes simulated processors onto goroutines it
+// concurrency: it multiplexes simulated processors onto coroutines it
 // alone creates, serializes every step in virtual time, and is the reason
 // a 16-CPU interrupt protocol replays deterministically from a seed. A
 // stray goroutine, channel, or sync/atomic primitive anywhere else would
 // reintroduce host-scheduler ordering into results the engine carefully
 // keeps virtual, and would invisibly break the determinism the fault
-// campaigns (DESIGN.md §9) rely on. Simulated code expresses concurrency
-// only through sim.Engine.Spawn and blocking through sim.Proc.
+// campaigns (DESIGN.md §9) rely on. A coroutine made with iter.Pull or
+// iter.Pull2 is real concurrency in the same sense: it is a second
+// goroutine with its own stack, switched to outside the engine's step
+// accounting. Simulated code expresses concurrency only through
+// sim.Engine.Spawn and blocking through sim.Proc.
 package simconcurrency
 
 import (
@@ -20,8 +23,8 @@ import (
 // Analyzer is the simconcurrency analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "simconcurrency",
-	Doc: "forbid go statements, channels, and sync/atomic primitives outside " +
-		"internal/sim, whose virtual-time scheduler owns all concurrency",
+	Doc: "forbid go statements, channels, sync/atomic primitives and iter.Pull " +
+		"coroutines outside internal/sim, whose virtual-time scheduler owns all concurrency",
 	Run: run,
 }
 
@@ -56,7 +59,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkSyncUse flags any qualified reference into sync or sync/atomic.
+// checkSyncUse flags any qualified reference into sync or sync/atomic,
+// and any reference to iter.Pull or iter.Pull2.
 func checkSyncUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
@@ -71,5 +75,11 @@ func checkSyncUse(pass *analysis.Pass, sel *ast.SelectorExpr) {
 		pass.Reportf(sel.Pos(),
 			"use of %s.%s in simulated code: host-level synchronization has no meaning in virtual time; use machine.SpinLock or sim.Proc blocking",
 			path, sel.Sel.Name)
+	case "iter":
+		if name := sel.Sel.Name; name == "Pull" || name == "Pull2" {
+			pass.Reportf(sel.Pos(),
+				"use of iter.%s in simulated code: a coroutine is real concurrency; spawn simulated processors with sim.Engine.Spawn instead",
+				name)
+		}
 	}
 }

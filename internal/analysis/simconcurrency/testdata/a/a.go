@@ -3,6 +3,7 @@
 package a
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 )
@@ -44,4 +45,14 @@ func plainLoops(xs []int) int {
 		total += x
 	}
 	return total
+}
+
+func coroutines(seq iter.Seq[int], seq2 iter.Seq2[int, string]) {
+	next, stop := iter.Pull(seq) // want `use of iter\.Pull in simulated code`
+	defer stop()
+	next()
+	next2, stop2 := iter.Pull2(seq2) // want `use of iter\.Pull2 in simulated code`
+	defer stop2()
+	next2()
+	seq(func(int) bool { return true }) // ok: calling an iterator runs it on the caller's goroutine
 }
