@@ -6,35 +6,6 @@ import (
 	"testing"
 )
 
-// A panic inside a proc body ends the run with an error that names the
-// proc, whatever the coroutine was doing when it panicked.
-func TestPanicErrorNamesProc(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		body func(p *Proc)
-	}{
-		{"first-run", func(p *Proc) { panic("boom") }},
-		{"after-sleep", func(p *Proc) { p.Sleep(10); panic("boom") }},
-		{"after-wake", func(p *Proc) { p.Block(); panic("boom") }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := New()
-			bomb := e.Spawn("bomb", tc.body)
-			e.Spawn("waker", func(p *Proc) {
-				p.Sleep(20)
-				e.Wake(bomb)
-			})
-			err := e.Run()
-			if err == nil || !strings.HasPrefix(err.Error(), `sim: proc "bomb" panicked: boom`) {
-				t.Fatalf("err = %v, want prefix %q", err, `sim: proc "bomb" panicked: boom`)
-			}
-			if bomb.State() != StateDone {
-				t.Fatalf("panicked proc state = %v, want done", bomb.State())
-			}
-		})
-	}
-}
-
 // A proc spawned from inside another runs at its spawn time; one killed
 // before its first run, or while it sleeps, never resumes. Every
 // resumption is one step, so the step count is exact.

@@ -303,15 +303,32 @@ func TestSpawnFromInsideProc(t *testing.T) {
 	}
 }
 
+// A panic inside a proc body ends the run with an error that names the
+// proc, whatever the coroutine was doing when it panicked.
 func TestPanicPropagates(t *testing.T) {
-	e := New()
-	e.Spawn("bomb", func(p *Proc) {
-		p.Sleep(10)
-		panic("boom")
-	})
-	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want panic error containing 'boom'", err)
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc)
+	}{
+		{"first-run", func(p *Proc) { panic("boom") }},
+		{"after-sleep", func(p *Proc) { p.Sleep(10); panic("boom") }},
+		{"after-wake", func(p *Proc) { p.Block(); panic("boom") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			bomb := e.Spawn("bomb", tc.body)
+			e.Spawn("waker", func(p *Proc) {
+				p.Sleep(20)
+				e.Wake(bomb)
+			})
+			err := e.Run()
+			if err == nil || !strings.HasPrefix(err.Error(), `sim: proc "bomb" panicked: boom`) {
+				t.Fatalf("err = %v, want prefix %q", err, `sim: proc "bomb" panicked: boom`)
+			}
+			if bomb.State() != StateDone {
+				t.Fatalf("panicked proc state = %v, want done", bomb.State())
+			}
+		})
 	}
 }
 
