@@ -408,9 +408,8 @@ func (k *Kernel) Finish(err error) error {
 // stops: Eng.Stop halts everything the instant the last thread exits (or
 // a violation stops a replay), so idle loops, dispatched threads and any
 // interrupt or shootdown in flight never emit their closing events.
-// Chrome-trace consumers require balanced spans. The tracer knows which
-// spans each timeline has open; k.current does not (the idle loop ends
-// "idle" well before it begins "thread-run").
+// Chrome-trace consumers require balanced spans, and only the tracer
+// knows which spans each timeline still has open.
 func (k *Kernel) closeOpenSpans() {
 	tr := k.M.Observers().Tracer
 	for cpu := 0; cpu < k.M.NumCPUs(); cpu++ {

@@ -65,7 +65,6 @@ type Buffer struct {
 	events  []Event
 	size    int
 	next    int
-	wrapped bool
 	dropped uint64
 	enabled bool
 
@@ -98,11 +97,11 @@ func (b *Buffer) Enabled() bool { return b.enabled }
 // already grown is reused by the records that follow.
 func (b *Buffer) Reset() {
 	b.events = b.events[:0]
-	b.next, b.wrapped, b.dropped = 0, false, 0
+	b.next, b.dropped = 0, 0
 }
 
 // Wrapped reports whether records have been lost to wraparound.
-func (b *Buffer) Wrapped() bool { return b.wrapped }
+func (b *Buffer) Wrapped() bool { return b.dropped > 0 }
 
 // Dropped returns the number of records lost to wraparound. Experiment
 // output surfaces this so a truncated measurement is never mistaken for a
@@ -127,7 +126,6 @@ func (b *Buffer) Log(ev Event) {
 	}
 	b.events[b.next] = ev
 	b.next = (b.next + 1) % b.size
-	b.wrapped = true
 	b.dropped++
 }
 
